@@ -107,13 +107,16 @@ class GroupStructure:
         counts: np.ndarray | None,
         ids_factory,
         first: np.ndarray | None = None,
-        key_decoder=None,
+        group_codes: np.ndarray | None = None,
+        layout: dict[str, tuple[int, int]] | None = None,
     ) -> None:
         self.n_groups = n_groups
         self.counts = counts
         self._ids_factory = ids_factory
         self.first = first
-        self._key_decoder = key_decoder
+        self._group_codes = group_codes
+        self._layout = layout
+        self._parents: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._ids: np.ndarray | None = None
 
     @property
@@ -122,33 +125,33 @@ class GroupStructure:
             self._ids = self._ids_factory()
         return self._ids
 
-    def key_column(self, table: Table, key: str) -> np.ndarray:
-        """Per-group values of one key column."""
-        if self.first is not None:
-            return table[key][self.first]
-        assert self._key_decoder is not None
-        return self._key_decoder(key)
-
-    def key_dictionary(
+    def key_parents(
         self, table: Table, key: str
     ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Dictionary (codes, values) for the *result's* key column.
+        """(per-group parent codes, parent distinct values) of one key.
 
-        Available on the decode paths, where per-group parent codes are
-        known: a cheap integer re-rank replaces the raw-value np.unique
-        a fresh table would otherwise need.  None when unavailable.
+        Available on the decode paths, where the composite group codes
+        carry each key's dictionary code; None when keys are gathered
+        from representative rows.  The pair decodes the key column and
+        is the result's dictionary derived on demand, computed once.
         """
-        if self._key_decoder is None or not hasattr(
-            self, "_group_parent_codes"
-        ):
+        if self._layout is None:
             return None
-        parent_codes = self._group_parent_codes(key)
-        uniq_codes, inverse = np.unique(parent_codes, return_inverse=True)
-        _, parent_uniques = table.dictionary(key)
-        return (
-            inverse.astype(np.int64, copy=False),
-            parent_uniques[uniq_codes],
-        )
+        if key not in self._parents:
+            stride, card = self._layout[key]
+            self._parents[key] = (
+                (self._group_codes // stride) % card,
+                table.dictionary(key)[1],
+            )
+        return self._parents[key]
+
+    def key_column(self, table: Table, key: str) -> np.ndarray:
+        """Per-group values of one key column."""
+        parents = self.key_parents(table, key)
+        if parents is None:
+            return table[key][self.first]
+        codes, values = parents
+        return values[codes]
 
 
 def _column_codes(
@@ -324,22 +327,9 @@ def _hash_group(
         def make_ids() -> np.ndarray:
             return np.searchsorted(group_codes, combined)
 
-    def parent_codes_of(key: str) -> np.ndarray:
-        stride, card = layout[key]
-        return (group_codes // stride) % card
-
-    def decode(key: str) -> np.ndarray:
-        _, uniques = table.dictionary(key)
-        return uniques[parent_codes_of(key)]
-
-    structure = GroupStructure(
-        len(group_codes),
-        counts,
-        make_ids,
-        key_decoder=decode,
+    return GroupStructure(
+        len(group_codes), counts, make_ids, group_codes=group_codes, layout=layout
     )
-    structure._group_parent_codes = parent_codes_of
-    return structure
 
 
 def sorted_group_boundaries(
@@ -497,13 +487,13 @@ def group_by(
     if not columns:
         raise SchemaError("group_by needs at least one key or aggregate")
     result = Table.wrap(result_name, columns)
-    # Attach dictionaries for the key columns where the grouping pass
-    # can derive them from code arithmetic — far cheaper than the
+    # Hand the result its key dictionaries as parent codes, resolved
+    # only if something groups the result again: far cheaper than the
     # raw-value encode a downstream group-by would otherwise trigger.
     for key in keys:
-        derived = structure.key_dictionary(table, key)
-        if derived is not None:
-            result.set_dictionary(key, *derived)
+        parents = structure.key_parents(table, key)
+        if parents is not None:
+            result.set_dictionary(key, *parents)
     return result
 
 

@@ -22,10 +22,13 @@ constant); now:
   column and even when nodes run concurrently on the parallel wavefront
   executor (per-key locks make the encode happen exactly once).
 
-A materialized ancestor's key codes are also reused: ``group_by`` attaches
-derived dictionaries to its result's key columns (see
-``GroupStructure.key_dictionary``), so a descendant's encode is a cache
-hit rather than a fresh ``np.unique`` over raw values.
+A materialized ancestor's key codes are also reused: ``group_by`` and the
+morsel merge hand their result each key's per-group parent codes, and
+``Table.cached_dictionary`` derives the dictionary from them on demand
+with :func:`encode_column`, so a descendant's encode is a cache hit
+rather than a fresh encode over raw values.  Three consumers read result
+dictionaries — materialization, ``ResultCache.put`` and reaggregation
+through :meth:`DictionaryCache.codes` — so a leaf result never pays.
 """
 
 from __future__ import annotations

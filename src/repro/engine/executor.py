@@ -53,6 +53,7 @@ by the expand operators.
 
 from __future__ import annotations
 
+import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -100,6 +101,43 @@ MODE_CHOICES = ("auto", "serial", "wavefront", "morsel")
 def temp_name_for(node: PlanNode) -> str:
     """Deterministic temporary-table name for a plan node."""
     return "tmp__" + "__".join(sorted(node.columns))
+
+
+class TempScope:
+    """One plan execution's temporaries, under run-unique catalog names.
+
+    Plans name temps deterministically (:func:`temp_name_for`), so two
+    runs of one plan on a shared catalog would collide on them.  The
+    scope stores each temp as its plan name plus a per-run suffix,
+    resolves plan names to those catalog names, and drops only its own
+    temps.
+    """
+
+    def __init__(self, catalog: Catalog) -> None:
+        self._catalog = catalog
+        self._suffix = f"__run{uuid.uuid4().hex}"
+        self._live: set[str] = set()
+
+    def __contains__(self, name: str) -> bool:
+        return name in self._live
+
+    def get(self, name: str) -> Table:
+        """The table a plan name denotes: this run's temp, else the catalog's."""
+        return self._catalog.get(
+            name + self._suffix if name in self._live else name
+        )
+
+    def materialize(self, table: Table) -> None:
+        self._catalog.materialize_temp(table.rename(table.name + self._suffix))
+        self._live.add(table.name)
+
+    def drop(self, name: str) -> None:
+        self._live.discard(name)
+        self._catalog.drop_temp(name + self._suffix)
+
+    def drop_all(self) -> None:
+        for name in list(self._live):
+            self.drop(name)
 
 
 @dataclass
@@ -220,6 +258,9 @@ class PlanExecutor:
         self._model = model
         self._result_cache = result_cache
         self._agg_sig = aggregate_signature(self._aggregates)
+        # Temps of the plan being interpreted; an executor interprets
+        # one plan at a time (a Session builds one per execution).
+        self._temps = TempScope(catalog)
 
     # -- lowering -----------------------------------------------------------------
 
@@ -348,6 +389,7 @@ class PlanExecutor:
             dictionaries.stats() if registry.enabled else {}
         )
         result = ExecutionResult()
+        self._temps = TempScope(self._catalog)
         started = monotonic()
         peak_before = self._catalog.peak_temp_bytes
         current_before = self._catalog.current_temp_bytes
@@ -376,10 +418,9 @@ class PlanExecutor:
                         physical, result, dictionaries, current_before
                     )
             finally:
-                # Leave no temporaries behind even on failure.
-                for name in self._catalog.temp_names():
-                    if name.startswith("tmp__"):
-                        self._catalog.drop_temp(name)
+                # Leave none of this run's temporaries behind, even on
+                # failure; other in-flight runs keep theirs.
+                self._temps.drop_all()
             plan_span.set(
                 work=result.metrics.work,
                 queries=result.metrics.queries_executed,
@@ -630,12 +671,11 @@ class PlanExecutor:
         """Compute one shared-scan batch of groupings over morsels."""
         from repro.physical import plan as phys
 
-        table = self._catalog.get(source_name)
+        table = self._temps.get(source_name)
         groupings = []
         morsels = 1
-        for index, op in members:
+        for _, op in members:
             assert isinstance(op, phys.GroupingOperator)
-            pipeline = physical.pipelines[index]
             aggregates = (
                 self._reaggregates
                 if isinstance(op, phys.Reaggregate)
@@ -648,9 +688,6 @@ class PlanExecutor:
                     aggregates,
                     name=op.output,
                     dictionaries=dictionaries,
-                    # Derived key dictionaries only pay off when the
-                    # result materializes and descendants re-group it.
-                    attach_dictionaries=pipeline.materialized,
                 )
             )
             morsels = max(morsels, op.morsels)
@@ -746,7 +783,7 @@ class PlanExecutor:
                     f"drop pipeline contains non-drop operator {op.describe()}"
                 )
             with self._tracer.span("execute.drop_temp", temp=op.temp):
-                self._catalog.drop_temp(op.temp)
+                self._temps.drop(op.temp)
 
     def _run_pipeline(
         self,
@@ -892,7 +929,7 @@ class PlanExecutor:
                 self._run_materialize(physical, op, env, metrics)
                 return None
             elif isinstance(op, phys.DropTemp):
-                self._catalog.drop_temp(op.temp)
+                self._temps.drop(op.temp)
                 return None
             else:
                 raise ExecutionError(
@@ -951,7 +988,7 @@ class PlanExecutor:
         if isinstance(op, phys.Reaggregate):
             producer = physical.op(op.source)
             assert isinstance(producer, phys.Materialize)
-            source = self._catalog.get(producer.output)
+            source = self._temps.get(producer.output)
         else:
             scan = physical.op(op.source)
             assert isinstance(scan, phys.Scan)
@@ -1044,12 +1081,12 @@ class PlanExecutor:
                 )
             source = cached
         elif isinstance(producer, MaterializeOp):
-            if producer.output not in self._catalog:
+            if producer.output not in self._temps:
                 raise ExecutionError(
                     f"intermediate {producer.output!r} was not "
                     "materialized before its consumers"
                 )
-            source = self._catalog.get(producer.output)
+            source = self._temps.get(producer.output)
         else:
             raise ExecutionError(
                 f"reaggregate {op.op_id} does not read a Materialize"
@@ -1237,13 +1274,13 @@ class PlanExecutor:
                 f"materialize {op.op_id} reads missing pipeline input "
                 f"{op.source}"
             )
-        self._catalog.materialize_temp(table)
-        # Dictionary-encode the temp's key columns now so child queries
-        # aggregate over dense codes (the cost model charges this encode
-        # work as part of materialization).
+        # Dictionary-encode the temp's key columns before the catalog
+        # exposes it, so child queries aggregate over dense codes (the
+        # cost model charges this encode work as part of materialization).
         producer = physical.op(op.source)
         for column in getattr(producer, "keys", ()):
             table.dictionary(column)
+        self._temps.materialize(table)
         metrics.record_materialize(table.num_rows, table.size_bytes())
 
 

@@ -112,9 +112,6 @@ class MorselGrouping:
         aggregates: aggregate specs for the output.
         name: result table name.
         dictionaries: plan-wide dictionary cache.
-        attach_dictionaries: derive and attach result-key dictionaries
-            (needed when the result materializes and descendants will
-            re-group it; skippable for leaf results).
     """
 
     def __init__(
@@ -124,14 +121,12 @@ class MorselGrouping:
         aggregates: Sequence[AggregateSpec],
         name: str | None = None,
         dictionaries: "DictionaryCache | None" = None,
-        attach_dictionaries: bool = True,
     ) -> None:
         self.table = table
         self.keys = list(keys)
         self.aggregates = list(aggregates)
         self.name = name
         self._dictionaries = dictionaries
-        self._attach = attach_dictionaries
         self._combined: np.ndarray | None = None
         self._radix = 0
         self._layout: dict[str, tuple[int, int]] | None = None
@@ -201,12 +196,12 @@ class MorselGrouping:
             radix=self._radix,
         )
         columns: dict[str, np.ndarray] = {}
-        parent_codes: dict[str, np.ndarray] = {}
+        key_parents: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for key in self.keys:
             stride, card = self._layout[key]
             parents = (codes // stride) % card
-            parent_codes[key] = parents
             _, uniques = _column_codes(self.table, key, self._dictionaries)
+            key_parents[key] = (parents, uniques)
             columns[key] = uniques[parents]
         for spec in self.aggregates:
             if spec.alias in columns:
@@ -218,22 +213,11 @@ class MorselGrouping:
             self.name or f"groupby_{'_'.join(self.keys) or 'all'}"
         )
         result = Table.wrap(result_name, columns)
-        if self._attach:
-            # Same cheap integer re-rank GroupStructure.key_dictionary
-            # performs: descendants of a materialized result re-encode
-            # its keys as a cache hit instead of a raw-value unique.
-            for key in self.keys:
-                uniq_codes, inverse = np.unique(
-                    parent_codes[key], return_inverse=True
-                )
-                _, parent_uniques = _column_codes(
-                    self.table, key, self._dictionaries
-                )
-                result.set_dictionary(
-                    key,
-                    inverse.astype(np.int64, copy=False),
-                    parent_uniques[uniq_codes],
-                )
+        # The same on-demand dictionaries group_by attaches: descendants
+        # of a materialized result resolve them from the parent codes
+        # instead of re-encoding raw values; leaf results never pay.
+        for key, parents in key_parents.items():
+            result.set_dictionary(key, *parents)
         return result
 
     def fallback(self) -> Table:

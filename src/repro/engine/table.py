@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.engine.types import SchemaError, coerce_column, value_width
+
+
+class _Derived(NamedTuple):
+    """A dictionary not yet ranked: per-row codes into sorted values."""
+
+    parent_codes: np.ndarray
+    parent_values: np.ndarray
 
 
 class Table:
@@ -95,37 +102,53 @@ class Table:
         integer columns take the O(n) fast path of
         :func:`repro.engine.dictcache.encode_column`.
         """
-        if column not in self._dictionaries:
+        cached = self.cached_dictionary(column)
+        if cached is None:
             from repro.engine.dictcache import encode_column
 
-            self._dictionaries[column] = encode_column(self[column])
-        return self._dictionaries[column]
+            cached = self._dictionaries[column] = encode_column(self[column])
+        return cached
 
     def cached_dictionary(
         self, column: str
     ) -> tuple[np.ndarray, np.ndarray] | None:
-        """An already-built dictionary for ``column``, or None.
+        """A dictionary for ``column`` that needs no raw-value encode, or None.
 
-        Unlike :meth:`dictionary` this never triggers an encode, so
-        callers (the plan-wide ``DictionaryCache``) can distinguish a
-        hit from work about to happen.
+        Unlike :meth:`dictionary` this never factorizes the column's
+        values, so callers (the plan-wide ``DictionaryCache``) can
+        distinguish a hit from work about to happen.  A dictionary
+        attached by :meth:`set_dictionary` is derived here on first
+        read, by an O(rows + span) re-rank of its integer codes.  Only
+        materialization, ``ResultCache.put`` and reaggregation through
+        ``DictionaryCache.codes`` read a Group By result's dictionaries,
+        so a leaf result never pays for them.
         """
-        return self._dictionaries.get(column)
+        cached = self._dictionaries.get(column)
+        if isinstance(cached, _Derived):
+            from repro.engine.dictcache import encode_column
+
+            # The pending entry stays until the dense one replaces it,
+            # so a concurrent reader derives too, never raw-encodes.
+            codes, present = encode_column(cached.parent_codes)
+            cached = (codes, cached.parent_values[present])
+            self._dictionaries[column] = cached
+        return cached
 
     def set_dictionary(
         self, column: str, codes: np.ndarray, uniques: np.ndarray
     ) -> None:
-        """Attach a precomputed dictionary for ``column``.
+        """Attach a dictionary for ``column``, derived on first read.
 
-        The caller guarantees ``uniques[codes]`` reproduces the column
-        (the engine uses this to hand derived ancestor codes to a
-        freshly built Group By result instead of re-encoding).
+        The caller guarantees ``uniques`` is sorted and ``uniques[codes]``
+        reproduces the column; ``uniques`` may hold values the column
+        lacks.  The engine hands a Group By result its per-group parent
+        codes and the parent's distinct values this way.
         """
         if column not in self._columns:
             raise SchemaError(
                 f"table {self.name!r} has no column {column!r}"
             )
-        self._dictionaries[column] = (codes, uniques)
+        self._dictionaries[column] = _Derived(codes, uniques)
 
     def build_dictionaries(self) -> None:
         """Eagerly dictionary-encode every column (load-time work)."""

@@ -5,7 +5,12 @@ import pytest
 from repro.core.plan import LogicalPlan, NodeKind, PlanNode, SubPlan, naive_plan
 from repro.core.scheduling import depth_first_schedule
 from repro.engine.catalog import Catalog
-from repro.engine.executor import ExecutionError, PlanExecutor, temp_name_for
+from repro.engine.executor import (
+    ExecutionError,
+    PlanExecutor,
+    TempScope,
+    temp_name_for,
+)
 from repro.engine.indexes import IndexSpec
 from tests.conftest import brute_force_group_by, result_as_dict
 
@@ -170,3 +175,37 @@ class TestSchedules:
 def test_temp_name_deterministic():
     node = PlanNode(fs("b", "a"))
     assert temp_name_for(node) == "tmp__a__b"
+
+
+class TestTempScope:
+    """Each execution keeps its temps under its own catalog names."""
+
+    def test_scopes_share_plan_names_without_colliding(self, catalog, random_table):
+        first, second = TempScope(catalog), TempScope(catalog)
+        first.materialize(random_table.project(["low"], name="tmp__low"))
+        second.materialize(random_table.project(["mid"], name="tmp__low"))
+        assert "tmp__low" in first and "tmp__low" in second
+        assert first.get("tmp__low").column_names == ("low",)
+        assert second.get("tmp__low").column_names == ("mid",)
+        # Plan names that are not this run's temps resolve as-is.
+        assert first.get("r") is random_table
+        first.drop_all()
+        assert "tmp__low" not in first
+        assert len(catalog.temp_names()) == 1
+        assert second.get("tmp__low").column_names == ("mid",)
+
+    def test_execution_leaves_other_runs_temps_alone(
+        self, executor, catalog, random_table
+    ):
+        in_flight = TempScope(catalog)
+        in_flight.materialize(
+            random_table.project(["low", "mid"], name="tmp__low__mid")
+        )
+        result = executor.execute(hand_plan())
+        assert result_as_dict(
+            result.results[fs("low")], ["low"]
+        ) == brute_force_group_by(random_table, ["low"])
+        assert len(catalog.temp_names()) == 1
+        in_flight.drop_all()
+        assert catalog.temp_names() == ()
+        assert catalog.current_temp_bytes == 0

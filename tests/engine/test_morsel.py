@@ -195,10 +195,7 @@ class TestBatchExecution:
     def test_attached_dictionaries_match_plain_group_by(self):
         table = make_table(600, rng_seed=7)
         grouping = MorselGrouping(
-            table,
-            ["a", "b"],
-            [AggregateSpec.count_star()],
-            attach_dictionaries=True,
+            table, ["a", "b"], [AggregateSpec.count_star()]
         )
         [out], _ = compute_morsel_groupings(table, [grouping], 3, 1)
         plain = group_by(table, ["a", "b"], [AggregateSpec.count_star()])

@@ -182,3 +182,69 @@ class TestDictionaryStaleness:
         table = self.base()
         renamed = table.rename("other")
         assert renamed.cached_dictionary("a") is table.cached_dictionary("a")
+
+    # Dictionaries derived on demand (pending until first read) follow
+    # the same rules.
+
+    def pending(self):
+        # As a Group By result would be handed them: per-row codes into a
+        # sorted parent dictionary that holds values the table lacks.
+        table = Table("t", {"a": [3, 1, 2, 1], "b": ["x", "y", "y", "x"]})
+        table.set_dictionary(
+            "a", np.array([3, 1, 2, 1]), np.array([0, 1, 2, 3, 5])
+        )
+        table.set_dictionary("b", np.array([1, 2, 2, 1]), np.array(["w", "x", "y"]))
+        return table
+
+    def test_pending_resolves_to_dense_sorted_codes(self):
+        codes, values = self.pending().cached_dictionary("a")
+        assert list(values) == [1, 2, 3]
+        assert list(codes) == [2, 0, 1, 0]
+
+    def test_set_dictionary_replaces_resolved_one(self):
+        table = Table("t", {"a": [2, 4]})
+        table.dictionary("a")
+        table.set_dictionary("a", np.array([1, 2]), np.array([0, 2, 4]))
+        codes, values = table.cached_dictionary("a")
+        assert list(values) == [2, 4]
+        assert list(codes) == [0, 1]
+
+    def test_take_never_inherits_pending(self):
+        taken = self.pending().take(np.array([0, 2]))
+        assert taken.cached_dictionary("a") is None
+        codes, values = taken.dictionary("a")
+        assert list(values[codes]) == [3, 2]
+
+    def test_sort_by_never_inherits_pending(self):
+        ordered = self.pending().sort_by(["a"])
+        assert ordered.cached_dictionary("a") is None
+        assert ordered.cached_dictionary("b") is None
+
+    def test_with_column_drops_replaced_pending(self):
+        derived = self.pending().with_column("a", [9, 9, 8, 7])
+        assert derived.cached_dictionary("a") is None
+        codes, values = derived.cached_dictionary("b")
+        assert list(values[codes]) == ["x", "y", "y", "x"]
+
+    def test_rename_and_project_share_pending(self):
+        table = self.pending()
+        for shared in (table.rename("other"), table.project(["a", "b"])):
+            codes, values = shared.cached_dictionary("a")
+            assert list(values[codes]) == [3, 1, 2, 1]
+
+    def test_drop_dictionaries_clears_pending(self):
+        table = self.pending()
+        table.dictionary("b")  # one resolved, one still pending
+        assert table.drop_dictionaries() == 2
+        assert table.cached_dictionary("a") is None
+        assert table.cached_dictionary("b") is None
+
+    def test_evict_clears_pending(self):
+        from repro.engine.dictcache import DictionaryCache
+
+        table = self.pending()
+        cache = DictionaryCache()
+        assert cache.evict(table) == 2
+        assert table.cached_dictionary("a") is None
+        cache.codes(table, "a")
+        assert cache.stats()["misses"] == 1

@@ -24,17 +24,23 @@ def test_registry_covers_all_artifacts():
 
 
 def test_run_all_tiny(monkeypatch):
-    """Run the registry with scales shrunk to smoke-test size."""
+    """Run the registry with row counts shrunk to smoke-test size.
+
+    Only row counts shrink (``rows*`` keys and the ``rows`` dict); other
+    knobs such as ``n_workloads`` keep their registry values.
+    """
+
+    def shrink(rows: int) -> int:
+        return max(rows // 10, 2_000)
+
     tiny = []
     for module, kwargs in ALL_EXPERIMENTS:
-        shrunk = {}
+        shrunk = dict(kwargs)
         for key, value in kwargs.items():
-            if isinstance(value, int):
-                shrunk[key] = max(value // 10, 2_000)
-            elif isinstance(value, dict):
-                shrunk[key] = {k: max(v // 10, 2_000) for k, v in value.items()}
-            else:
-                shrunk[key] = value
+            if key.startswith("rows") and isinstance(value, int):
+                shrunk[key] = shrink(value)
+            elif key == "rows" and isinstance(value, dict):
+                shrunk[key] = {k: shrink(v) for k, v in value.items()}
         tiny.append((module, shrunk))
     monkeypatch.setattr(
         "repro.experiments.__main__.ALL_EXPERIMENTS", tuple(tiny)
