@@ -1,7 +1,7 @@
 """Dataflow-analyzer overhead benchmark.
 
 For each built-in workload the optimizer's plan is lowered (serial and
-wavefront) and pushed through the abstract-interpretation analyzer with
+parallel) and pushed through the abstract-interpretation analyzer with
 full catalog + cardinality context — the same configuration the
 executor's pre-run gate uses.  Recorded per plan in
 ``BENCH_analysis.json`` at the repository root:
@@ -113,7 +113,7 @@ def bench_workload(name: str, rows: int, repeats: int) -> dict[str, object]:
     }
     worst_fraction = 0.0
     clean = True
-    for label, parallelism in (("serial", 1), ("wavefront", 2)):
+    for label, parallelism in (("serial", 1), ("parallel", 2)):
         physical = session.lower(result.plan, parallelism=parallelism)
         plan_entry = bench_plan(session, physical, repeats)
         fraction = (plan_entry["verify_ms"] / 1e3) / max(

@@ -1,29 +1,30 @@
-"""Morsel benchmark: serial vs wavefront vs morsel-driven execution.
+"""Morsel benchmark: serial vs parallel execution on one scheduler.
 
-Times three execution modes of :class:`~repro.engine.executor.
-PlanExecutor` over the same optimized plan:
+Times :class:`~repro.engine.executor.PlanExecutor` over the same
+optimized plan two ways:
 
 * **serial** — pipelines in schedule order, one full row-store pass per
   grouping (``parallelism=1``);
-* **wavefront** — dependency waves across a thread pool, node-level
-  parallelism (``parallelism=4, mode="wavefront"``);
-* **morsel** — the two-phase path (``parallelism=4, mode="auto"``):
-  each wave's groupings batch by input table, every morsel pays one
-  shared scan feeding all groupings in the batch, partial aggregate
-  states merge bit-identical to the single pass.  Auto mode records
-  which mode the engine cost model actually resolved.
+* **parallel** — ``parallelism=P``: the lowering puts the plan on
+  dependency waves run by one thread pool.  Each wave's groupings that
+  share an input batch over shared morsel scans (partial aggregate
+  states merge bit-identical to the single pass), and every other
+  pipeline, near-unique groupings included, runs as its own task
+  beside the batch.  The payload records which schedule the cost model
+  chose (``mode``: ``serial`` or ``morsel``).
 
-Every mode must produce bit-identical result tables and equal
-deterministic metrics totals; the morsel column must never lose to
-serial, and at least one full-scale workload must clear 1.5x.
+Both must produce bit-identical result tables and equal deterministic
+metrics totals; the parallel column must never lose to serial, and at
+least one full-scale workload must clear 1.5x.  The two schedules
+alternate within each repeat, and each reports its best time.
 
 Writes ``BENCH_morsel.json`` at the repository root::
 
     python benchmarks/bench_morsel.py [--rows N] [--repeats K] [--smoke]
 
-``--smoke`` runs a reduced scale for CI with ``mode="morsel"`` forced
-(auto would resolve serial below the cost-model floors): it still
-asserts the equivalence flags but skips the speedup floors.
+``--smoke`` runs one repeat at 40,000 rows for CI — enough rows for the
+cost model to pick waves — and asserts the equivalence flags and that
+waves ran, but skips the speedup floors.
 """
 
 from __future__ import annotations
@@ -78,19 +79,8 @@ def tables_match(a: Table, b: Table) -> bool:
     return all(np.array_equal(a[c], b[c]) for c in a.column_names)
 
 
-def run_mode(session, plan, repeats: int, **execute_kwargs):
-    """Best-of-``repeats`` wall time and the last execution result."""
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        started = monotonic()
-        result = session.execute(plan, **execute_kwargs)
-        best = min(best, monotonic() - started)
-    return best, result
-
-
 def bench_workload(
-    name: str, rows: int, repeats: int, parallelism: int, smoke: bool
+    name: str, rows: int, repeats: int, parallelism: int
 ) -> dict:
     maker, query_maker = WORKLOADS[name]
     table = maker(rows)
@@ -98,45 +88,31 @@ def bench_workload(
     queries = query_maker(table)
     plan = session.optimize(queries).plan
 
-    serial_seconds, serial = run_mode(session, plan, repeats, parallelism=1)
-    wavefront_seconds, wavefront = run_mode(
-        session, plan, repeats, parallelism=parallelism, mode="wavefront"
+    best = {1: float("inf"), parallelism: float("inf")}
+    runs = {}
+    for _ in range(repeats):
+        for workers in best:
+            started = monotonic()
+            runs[workers] = session.execute(plan, parallelism=workers)
+            best[workers] = min(best[workers], monotonic() - started)
+    serial, parallel = runs[1], runs[parallelism]
+    results_match = set(serial.results) == set(parallel.results) and all(
+        tables_match(serial.results[q], parallel.results[q])
+        for q in serial.results
     )
-    # Full scale exercises auto resolution (and records what it chose);
-    # smoke forces the morsel path, which auto would skip below the
-    # cost-model floors.
-    morsel_mode = "morsel" if smoke else "auto"
-    morsel_seconds, morsel = run_mode(
-        session, plan, repeats, parallelism=parallelism, mode=morsel_mode
-    )
-
-    def matches(other):
-        results = set(serial.results) == set(other.results) and all(
-            tables_match(serial.results[q], other.results[q])
-            for q in serial.results
-        )
-        metrics = serial.metrics.as_dict(
-            per_query=True
-        ) == other.metrics.as_dict(per_query=True)
-        return results, metrics
-
-    results_match_wavefront, metrics_match_wavefront = matches(wavefront)
-    results_match_morsel, metrics_match_morsel = matches(morsel)
+    metrics_match = serial.metrics.as_dict(
+        per_query=True
+    ) == parallel.metrics.as_dict(per_query=True)
     return {
         "rows": rows,
         "queries": len(queries),
         "parallelism": parallelism,
-        "serial_seconds": serial_seconds,
-        "wavefront_seconds": wavefront_seconds,
-        "morsel_seconds": morsel_seconds,
-        "speedup_wavefront": serial_seconds / max(wavefront_seconds, 1e-12),
-        "speedup_parallel": serial_seconds / max(morsel_seconds, 1e-12),
-        "mode_requested": morsel_mode,
-        "mode_resolved": morsel.metrics.mode,
-        "results_match_wavefront": results_match_wavefront,
-        "metrics_match_wavefront": metrics_match_wavefront,
-        "results_match_morsel": results_match_morsel,
-        "metrics_match_morsel": metrics_match_morsel,
+        "serial_seconds": best[1],
+        "parallel_seconds": best[parallelism],
+        "speedup_parallel": best[1] / max(best[parallelism], 1e-12),
+        "mode": parallel.metrics.mode,
+        "results_match": results_match,
+        "metrics_match": metrics_match,
     }
 
 
@@ -157,26 +133,25 @@ def main(argv: list[str] | None = None) -> int:
         help="output JSON path (default: BENCH_morsel.json at repo root)",
     )
     args = parser.parse_args(argv)
-    rows = 4_000 if args.smoke else args.rows
+    if args.parallelism < 2:
+        parser.error("--parallelism must be at least 2")
+    rows = 40_000 if args.smoke else args.rows
     repeats = 1 if args.smoke else args.repeats
 
     payload = {
-        "benchmark": "morsel-driven two-phase execution vs serial/wavefront",
+        "benchmark": "serial vs parallel morsel-driven execution",
         "smoke": args.smoke,
         "workloads": {},
     }
     for name in sorted(WORKLOADS):
-        entry = bench_workload(
-            name, rows, repeats, args.parallelism, args.smoke
-        )
+        entry = bench_workload(name, rows, repeats, args.parallelism)
         payload["workloads"][name] = entry
         print(
             f"{name:18s} serial {entry['serial_seconds'] * 1e3:8.1f} ms  "
-            f"wavefront {entry['speedup_wavefront']:.2f}x  "
-            f"morsel {entry['speedup_parallel']:.2f}x "
-            f"(mode={entry['mode_resolved']})  "
-            f"results_match={entry['results_match_morsel']} "
-            f"metrics_match={entry['metrics_match_morsel']}"
+            f"parallel {entry['speedup_parallel']:.2f}x "
+            f"(mode={entry['mode']})  "
+            f"results_match={entry['results_match']} "
+            f"metrics_match={entry['metrics_match']}"
         )
     speedups = [
         entry["speedup_parallel"]
@@ -190,28 +165,22 @@ def main(argv: list[str] | None = None) -> int:
 
     failures = []
     for name, entry in payload["workloads"].items():
-        flags = (
-            entry["results_match_wavefront"],
-            entry["metrics_match_wavefront"],
-            entry["results_match_morsel"],
-            entry["metrics_match_morsel"],
-        )
-        if not all(flags):
+        if not (entry["results_match"] and entry["metrics_match"]):
             failures.append(f"{name}: equivalence flags not all true")
-        if args.smoke and entry["mode_resolved"] != "morsel":
+        if entry["mode"] != "morsel":
             failures.append(
-                f"{name}: smoke run resolved {entry['mode_resolved']!r}, "
-                "expected the forced morsel path"
+                f"{name}: ran {entry['mode']!r}, expected waves (morsel)"
             )
     if not args.smoke:
         if payload["min_speedup_parallel"] < MIN_SPEEDUP_EVERYWHERE:
             failures.append(
-                f"morsel speedup {payload['min_speedup_parallel']:.2f}x "
+                f"parallel speedup {payload['min_speedup_parallel']:.2f}x "
                 f"below the {MIN_SPEEDUP_EVERYWHERE:.1f}x floor"
             )
         if payload["max_speedup_parallel"] < MIN_SPEEDUP_BEST:
             failures.append(
-                f"best morsel speedup {payload['max_speedup_parallel']:.2f}x "
+                f"best parallel speedup "
+                f"{payload['max_speedup_parallel']:.2f}x "
                 f"below the {MIN_SPEEDUP_BEST:.1f}x floor"
             )
     for failure in failures:

@@ -1,6 +1,6 @@
 """Lock-discipline lints for the parallel engine (CL209–CL212).
 
-The wavefront executor runs pipelines on a thread pool; the shared
+The parallel executor runs pipelines on a thread pool; the shared
 state those threads touch — the :class:`~repro.engine.catalog.Catalog`
 temp registry and storage meters, the
 :class:`~repro.engine.dictcache.DictionaryCache` code cache, the
@@ -20,7 +20,7 @@ self._lock:`` blocks), it derives
   shared attributes;
 * a **static lock-order graph**: ``with a: with b:`` adds the edge
   ``a → b``; any strongly-connected component of two or more locks is
-  an acquisition-order inversion that could deadlock two wavefront
+  an acquisition-order inversion that could deadlock two pool
   workers (CL210);
 * bare ``.acquire()``/``.release()`` calls, which escape lexical
   lockset tracking and leak locks on exceptions (CL211);
@@ -43,7 +43,7 @@ from typing import Iterator
 
 from repro.analysis.linter import Finding, code_rule
 
-#: Path scope: the modules that execute under the wavefront pool.
+#: Path scope: the modules that execute under the executor's thread pool.
 _CONCURRENCY_SCOPE = ("repro/engine/", "repro/obs/", "repro/cache/")
 
 #: Container methods that mutate their receiver in place.
@@ -379,7 +379,7 @@ def check_unlocked_shared_mutation(tree: ast.Module) -> Iterator[Finding]:
 @code_rule(
     "CL210",
     "lock-order-inversion",
-    "locks acquired in opposite orders can deadlock wavefront workers",
+    "locks acquired in opposite orders can deadlock pool workers",
     scope=_CONCURRENCY_SCOPE,
 )
 def check_lock_order_inversion(tree: ast.Module) -> Iterator[Finding]:

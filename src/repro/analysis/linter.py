@@ -27,7 +27,7 @@ The lock-discipline rules ``CL209``–``CL212`` (unlocked shared-state
 mutation, lock-order inversion, manual ``acquire``/``release``, nested
 re-acquisition) live in :mod:`repro.analysis.concurrency` and register
 themselves into the same catalog; they are scoped to ``repro/engine``
-and ``repro/obs``, the modules the wavefront thread pool runs.
+and ``repro/obs``, the modules the executor's thread pool runs.
 """
 
 from __future__ import annotations

@@ -530,12 +530,9 @@ class Session:
         plan: LogicalPlan,
         schedule: str,
         parallelism: int,
-        mode: str = "auto",
     ) -> list[Step] | None:
-        # Parallel modes (and ``auto`` with workers available, which may
-        # resolve to one) schedule themselves from the dependency graph.
-        if mode in ("wavefront", "morsel"):
-            return None
+        # Parallel executors schedule themselves from the dependency
+        # graph (the lowering may still pick the linear schedule).
         if parallelism > 1:
             return None
         if schedule == "storage":
@@ -552,12 +549,11 @@ class Session:
         tracer: Tracer | None,
         parallelism: int,
         memory_budget_bytes: float | None,
-        mode: str = "auto",
     ) -> PlanExecutor:
-        # With feedback on, the executor lowers and auto-resolves modes
-        # against the session's calibrated model instead of building
-        # fresh uncalibrated ones; with feedback off the executor keeps
-        # building its own — today's exact (bit-identical) path.
+        # With feedback on, the executor lowers (and picks serial or
+        # waves) against the session's calibrated model instead of
+        # building fresh uncalibrated ones; with feedback off the
+        # executor keeps building its own — the bit-identical path.
         model: EngineCostModel | None = None
         if self._feedback is not None:
             candidate = self.cost_model()
@@ -573,7 +569,6 @@ class Session:
             estimator=self.estimator,
             memory_budget_bytes=memory_budget_bytes,
             metrics=self.metrics,
-            mode=mode,
             model=model,
             result_cache=self._result_cache,
         )
@@ -586,7 +581,6 @@ class Session:
         tracer: Tracer | None = None,
         parallelism: int = 1,
         memory_budget_bytes: float | None = None,
-        mode: str = "auto",
     ) -> ExecutionResult:
         """Execute a logical plan.
 
@@ -598,25 +592,24 @@ class Session:
             plan: the plan to run.
             schedule: 'storage' follows the Section 4.4.1 BF/DF marking;
                 'depth_first' uses plain pre-order.  Ignored when
-                execution is parallel: wavefront and morsel runs derive
-                their own wavefront schedule from the plan.
+                ``parallelism > 1``: the lowering then derives its own
+                schedule from the plan's dependency graph.
             aggregates: aggregate list (COUNT(*) by default).
             tracer: span tracer for this run only (defaults to the
                 session tracer).
-            parallelism: worker threads for parallel execution; 1 runs
-                the linear schedule serially.  Parallel runs produce
-                bit-identical results and equal metrics totals.
+            parallelism: worker threads; 1 runs the linear schedule
+                serially.  With more, the lowering asks the cost model
+                whether the workload clears the parallel floors: if so
+                the plan runs on dependency waves with shared-scan
+                morsel batches, otherwise serially (small inputs never
+                pay parallel overhead).  Parallel runs produce
+                bit-identical results and equal metrics totals; the
+                schedule used is reported on ``result.metrics.mode``
+                (``'serial'`` or ``'morsel'``).
             memory_budget_bytes: plan-wide transient-memory budget for
                 the lowering; groupings estimated over it are demoted to
                 the sort regime and then to partitioned execution.
                 Results stay bit-identical.
-            mode: execution mode — 'auto' (default), 'serial',
-                'wavefront', or 'morsel'.  'auto' resolves from the
-                workload: serial for ``parallelism=1`` or small inputs
-                (so parallel execution never regresses them), morsel-
-                driven two-phase aggregation when the base relation and
-                grouping count clear the cost model's thresholds.  The
-                resolved mode is reported on ``result.metrics.mode``.
 
         With feedback enabled the run is additionally recorded into the
         session's history store (est-vs-actual per node, from a span
@@ -624,10 +617,10 @@ class Session:
         the configured cadence — results are unchanged; only *future*
         plan choices move.
         """
-        steps = self._schedule_steps(plan, schedule, parallelism, mode)
+        steps = self._schedule_steps(plan, schedule, parallelism)
         if self._feedback is None:
             executor = self._executor(
-                aggregates, tracer, parallelism, memory_budget_bytes, mode
+                aggregates, tracer, parallelism, memory_budget_bytes
             )
             return executor.execute(plan, steps)
         run_tracer = tracer or self.tracer
@@ -638,7 +631,7 @@ class Session:
             record_tracer = Tracer()
             window_start = 0
         executor = self._executor(
-            aggregates, record_tracer, parallelism, memory_budget_bytes, mode
+            aggregates, record_tracer, parallelism, memory_budget_bytes
         )
         result = executor.execute(plan, steps)
         self._record_execution(
@@ -683,7 +676,6 @@ class Session:
         aggregates: list[AggregateSpec] | None = None,
         parallelism: int = 1,
         memory_budget_bytes: float | None = None,
-        mode: str = "auto",
     ) -> "PhysicalPlan":
         """Lower a logical plan to its physical form without running it.
 
@@ -691,9 +683,9 @@ class Session:
         :class:`~repro.physical.plan.PhysicalPlan` that ``execute``
         would interpret (render it with ``.render()``).
         """
-        steps = self._schedule_steps(plan, schedule, parallelism, mode)
+        steps = self._schedule_steps(plan, schedule, parallelism)
         executor = self._executor(
-            aggregates, None, parallelism, memory_budget_bytes, mode
+            aggregates, None, parallelism, memory_budget_bytes
         )
         return executor.lower(plan, steps)
 
@@ -727,7 +719,6 @@ class Session:
         plan: LogicalPlan,
         schedule: str = "storage",
         parallelism: int = 1,
-        mode: str = "auto",
         history=None,
     ):
         """EXPLAIN ANALYZE: execute the plan instrumented and report
@@ -736,8 +727,7 @@ class Session:
         Args:
             plan: the plan to analyze.
             schedule: execution schedule, as in :meth:`execute`.
-            parallelism: worker threads for parallel execution.
-            mode: execution mode, as in :meth:`execute`.
+            parallelism: worker threads, as in :meth:`execute`.
             history: a :class:`repro.obs.history.PlanHistoryStore` (or a
                 path to one) to append this run's estimated-vs-actual
                 record to, keyed by the plan's fingerprint.
@@ -749,8 +739,7 @@ class Session:
         from repro.obs.analyze import explain_analyze
 
         analysis = explain_analyze(
-            self, plan, schedule=schedule, parallelism=parallelism,
-            mode=mode,
+            self, plan, schedule=schedule, parallelism=parallelism
         )
         if history is not None:
             from repro.obs.history import PlanHistoryStore

@@ -15,7 +15,7 @@ Locking: one :class:`threading.Lock` guards every mutable structure
 (entries, the derivability index, the counters, the logical clock), and
 every mutation sits lexically inside a ``with self._lock:`` block — the
 CL209 lock-discipline contract.  The cache sits on the executor's
-serve/populate path, which may run from wavefront worker threads, so
+serve/populate path, which may run from pool worker threads, so
 every public method is safe to call concurrently.  Recency is a logical
 counter, not wall-clock time — the repo-wide CL207 contract keeps
 ``time.time()`` out of the engine.

@@ -277,7 +277,6 @@ def cmd_explain(args) -> int:
         analysis = session.explain_analyze(
             result.plan,
             parallelism=args.parallelism,
-            mode=args.mode,
             history=args.history,
         )
         print(analysis.render())
@@ -292,7 +291,6 @@ def cmd_explain(args) -> int:
     physical = session.lower(
         result.plan,
         parallelism=args.parallelism,
-        mode=args.mode,
         memory_budget_bytes=args.memory_budget_bytes,
     )
     print(physical.render())
@@ -345,7 +343,6 @@ def cmd_trace(args) -> int:
         execution = session.execute(
             result.plan,
             parallelism=args.parallelism,
-            mode=args.mode,
             memory_budget_bytes=args.memory_budget_bytes,
         )
     print(render_span_tree(tracer.spans))
@@ -387,7 +384,6 @@ def cmd_flamegraph(args) -> int:
             session.execute(
                 result.plan,
                 parallelism=args.parallelism,
-                mode=args.mode,
                 memory_budget_bytes=args.memory_budget_bytes,
             )
         spans = tracer.spans
@@ -510,7 +506,7 @@ def cmd_adaptive(args) -> int:
     for index in range(args.runs):
         result = session.optimize(queries)
         execution = session.execute(
-            result.plan, parallelism=args.parallelism, mode=args.mode
+            result.plan, parallelism=args.parallelism
         )
         render = result.plan.render()
         if first_render is None:
@@ -594,7 +590,6 @@ def cmd_analyze_plan(args) -> int:
     physical = session.lower(
         result.plan,
         parallelism=args.parallelism,
-        mode=args.mode,
         memory_budget_bytes=args.memory_budget_bytes,
     )
     context = AnalysisContext(
@@ -644,7 +639,7 @@ def cmd_cache(args) -> int:
     runs: list[dict[str, object]] = []
     for index in range(args.runs):
         execution = session.execute(
-            result.plan, parallelism=args.parallelism, mode=args.mode
+            result.plan, parallelism=args.parallelism
         )
         runs.append(
             {
@@ -888,14 +883,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--parallelism",
             type=_positive_int,
             default=1,
-            help="worker threads for wavefront plan execution (default 1)",
-        )
-        p.add_argument(
-            "--mode",
-            choices=("auto", "serial", "wavefront", "morsel"),
-            default="auto",
-            help="execution mode; auto picks serial or morsel from the "
-            "engine cost model (default auto)",
+            help="worker threads for plan execution; with 2 or more the "
+            "plan runs on morsel-driven waves when the engine cost model "
+            "says the workload is large enough (default 1)",
         )
         p.add_argument(
             "--memory-budget-bytes",

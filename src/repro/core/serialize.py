@@ -120,7 +120,6 @@ def physical_plan_to_dict(plan: "PhysicalPlan") -> dict[str, object]:
     payload: dict[str, object] = {
         "physical_version": PHYSICAL_FORMAT_VERSION,
         "relation": plan.relation,
-        "mode": plan.mode,
         "operators": [op.to_dict() for op in plan.operators],
         "pipelines": [
             {
@@ -154,7 +153,8 @@ def physical_plan_from_dict(payload: dict[str, object]) -> "PhysicalPlan":
 
     The rebuilt plan is gated through the physical verifier rules
     (PV012+), so a corrupted payload is rejected with an error naming
-    the violated invariant.
+    the violated invariant.  A ``mode`` key written by older versions
+    is ignored: the wave schedule alone decides how the plan runs.
 
     Raises:
         PlanError: on version mismatch, unknown operator tags, or — as
@@ -228,9 +228,6 @@ def physical_plan_from_dict(payload: dict[str, object]) -> "PhysicalPlan":
             memory_budget_bytes=(
                 float(budget) if budget is not None else None
             ),
-            # Pre-morsel payloads have no mode; "" derives it from the
-            # wave schedule, preserving their meaning.
-            mode=str(payload.get("mode", "")),
         )
     except PhysicalPlanError as error:
         raise PlanError(

@@ -60,9 +60,9 @@ HASH_SLOT_BYTES = 16.0
 #: Bytes of transient state per input row in the sort regime (the int64
 #: composite-code array plus its sorted copy).
 SORT_ROW_BYTES = 16.0
-#: Minimum base-relation rows before morsel execution is worth its
-#: scheduling overhead; auto mode falls back to serial below it (the
-#: fix for wavefront's small-workload ``speedup_parallel < 1`` losses).
+#: Minimum base-relation rows before parallel execution is worth its
+#: scheduling overhead; parallel plans lower to the serial schedule
+#: below it, so small workloads never lose to serial.
 MORSEL_MIN_ROWS = 32_768
 #: Minimum groupings sharing a scan before morsel batching pays off —
 #: with a single grouping there is no scan sharing to win.
@@ -111,11 +111,10 @@ class ModeChoice:
     """The costed execution-mode decision for one plan run.
 
     Attributes:
-        mode: ``'serial'`` or ``'morsel'`` — auto mode never picks
-            ``'wavefront'``: node-level threads contend on the memory
-            bus and the GIL, so its modeled cost equals serial's.
+        mode: ``'serial'`` (the linear schedule) or ``'morsel'``
+            (dependency waves with shared-scan morsel batches).
         morsels: morsel count the morsel mode would use.
-        serial_cost / wavefront_cost / morsel_cost: modeled costs.
+        serial_cost / morsel_cost: modeled costs.
         reason: one-line explanation of the decision (EXPLAIN output).
         decided_by: which cost layer settled the decision — ``'static'``
             when the built-in floors already picked this mode, otherwise
@@ -125,7 +124,6 @@ class ModeChoice:
     mode: str
     morsels: int
     serial_cost: float
-    wavefront_cost: float
     morsel_cost: float
     reason: str
     decided_by: str = "static"
@@ -183,7 +181,7 @@ def _join_origins(origins: Iterable[str]) -> str:
 def default_execution_mode(
     base_rows: int, n_groupings: int, parallelism: int
 ) -> str:
-    """Threshold-only auto mode choice when no cost model is bound.
+    """Threshold-only execution mode choice when no cost model is bound.
 
     Mirrors :meth:`EngineCostModel.execution_mode_choice`'s floors:
     parallel execution must clear both a minimum input size and a
@@ -552,9 +550,6 @@ class EngineCostModel:
         scan = rows * self._base_row_width * READ_BYTE
         group_cpu = rows * HASH_CPU
         serial_cost = groupings * (scan + group_cpu)
-        # Node-level thread waves contend on the memory bus (and, for
-        # small kernels, the GIL): no modeled win over serial.
-        wavefront_cost = serial_cost
         morsels = morsel_count(int(rows), parallelism)
         morsel_cost = (
             scan
@@ -592,7 +587,6 @@ class EngineCostModel:
             mode=mode,
             morsels=morsels,
             serial_cost=serial_cost,
-            wavefront_cost=wavefront_cost,
             morsel_cost=morsel_cost,
             reason=reason,
             decided_by=decided_by,

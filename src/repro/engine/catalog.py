@@ -29,7 +29,7 @@ class Catalog:
         self._temp_names: set[str] = set()
         self._indexes: dict[str, list[Index]] = {}
         # Guards temp registration, the storage meter, and the version
-        # map: the parallel wavefront executor materializes temps from
+        # map: the parallel executor materializes temps from
         # worker threads.
         self._temp_lock = threading.Lock()
         # Per-table mutation counter.  Any operation that changes a base

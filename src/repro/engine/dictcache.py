@@ -19,7 +19,7 @@ constant); now:
 * :class:`DictionaryCache` is the plan-wide cache the executor threads
   through every Group By: each (table, column) pair is factorized at most
   once per plan execution, even when many plan nodes touch the same base
-  column and even when nodes run concurrently on the parallel wavefront
+  column and even when nodes run concurrently on the parallel
   executor (per-key locks make the encode happen exactly once).
 
 A materialized ancestor's key codes are also reused: ``group_by`` and the
@@ -113,7 +113,7 @@ class DictionaryCache:
     first consult the table's own attached dictionaries — which is how a
     materialized ancestor's derived key codes get reused — then fall
     back to encoding, guarded by a per-(table, column) lock so
-    concurrent wavefront workers never duplicate the encode work.
+    concurrent pool workers never duplicate the encode work.
 
     Attributes:
         hits: lookups served without factorizing.

@@ -12,33 +12,26 @@ statistics; per-operator memory estimates are threaded against an
 optional plan-wide budget, falling back to the engine's partitioned
 execution when a grouping's transient state would not fit.
 
-Execution comes in three modes:
+Execution takes one of two schedules, fixed by the lowering:
 
-* **serial** (the default): pipelines run in order — exactly the
-  paper's client-side script of Group By / DROP statements.
-* **parallel wavefront** (``mode="wavefront"``): the lowered plan
-  carries dependency waves; pipelines within a wave share no
-  dependencies and run on a thread pool (numpy releases the GIL inside
-  the reductions).  Results are bit-identical to serial execution and
-  the merged :class:`ExecutionMetrics` totals are equal — each pipeline
-  aggregates into its own metrics object, folded back in deterministic
-  schedule order.
-* **morsel** (``mode="morsel"``): two-phase morsel-driven aggregation.
-  Groupings in a wave that read the same input are batched; the input
-  splits into row-range morsels, each morsel pays **one** shared
+* **serial** (``parallelism=1``, or a workload below the cost model's
+  parallel floors): pipelines run in order — exactly the paper's
+  client-side script of Group By / DROP statements.
+* **waves** (``parallelism >= 2`` on a large enough workload): the
+  lowered plan carries dependency waves, and one thread pool runs them
+  morsel-driven.  Within a wave, every input table feeding at least two
+  groupings that can run two-phase becomes one shared-scan batch: the
+  input splits into row-range morsels, each morsel pays **one**
   row-store pass feeding every grouping in the batch, and each grouping
   computes decomposable partial states per morsel which merge into
   results bit-identical to the single-pass kernels
-  (:mod:`repro.engine.morsel`).  Thread-parallelism runs *inside* the
-  operator batch — morsel workers — instead of across plan nodes.
-  Deterministic counters are recorded exactly as a serial run would
-  (each grouping is charged one full pass over its input), so metrics
-  totals are equal to serial's even though the physical traffic is one
-  pass per morsel per batch.
-
-``mode="auto"`` (the default) resolves per plan: serial when
-``parallelism`` is 1 or the workload is below the cost model's morsel
-thresholds (small inputs never regress), morsel otherwise.
+  (:mod:`repro.engine.morsel`).  Every other pipeline — including
+  groupings too near-unique for two-phase execution — is its own task
+  on the same pool, overlapping the batch.  Each pipeline aggregates
+  into its own :class:`ExecutionMetrics`, folded back in schedule
+  order, and batched groupings record the counters a serial run would
+  (one full pass over their input), so results are bit-identical and
+  metrics totals equal to serial execution's.
 
 Either way, one plan-wide
 :class:`~repro.engine.dictcache.DictionaryCache` is threaded through
@@ -54,9 +47,9 @@ by the expand operators.
 from __future__ import annotations
 
 import uuid
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.cache import ResultCache, aggregate_signature
 from repro.core.plan import LogicalPlan, PlanNode
@@ -80,10 +73,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.costmodel.engine_model import EngineCostModel
     from repro.physical.plan import (
         CubeExpand,
-        DropTemp,
         GroupingOperator,
         PhysicalPipeline,
         PhysicalPlan,
+        PhysicalWave,
         RollupExpand,
     )
     from repro.stats.cardinality import CardinalityEstimator
@@ -91,11 +84,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 class ExecutionError(EngineError):
     """The executor was given an inconsistent plan or schedule."""
-
-
-#: Mode knob values: ``auto`` resolves per plan, the rest force one of
-#: :data:`repro.physical.plan.EXECUTION_MODES` (kept in sync by test).
-MODE_CHOICES = ("auto", "serial", "wavefront", "morsel")
 
 
 def temp_name_for(node: PlanNode) -> str:
@@ -171,22 +159,15 @@ class PlanExecutor:
         tracer: span tracer; when enabled, the run is wrapped in an
             ``execute.plan`` span with one ``execute.node`` child per
             pipeline carrying actual rows/bytes (grouped under
-            ``execute.wave`` spans in parallel mode) and one
+            ``execute.wave`` spans when the plan runs on waves) and one
             ``execute.<operator>`` grandchild per physical operator.
             Tracing is read-only: results and deterministic counters
             are identical with it on or off.
-        parallelism: worker threads for wavefront or morsel execution.
-            1 (the default) executes the lowered linear schedule
-            serially; >= 2 runs concurrently (waves of pipelines, or
-            morsel workers inside operator batches), producing
-            bit-identical tables and equal metrics totals.
-        mode: execution mode — one of :data:`MODE_CHOICES`.  ``auto``
-            (the default) picks serial for ``parallelism=1`` and
-            otherwise asks the cost model: morsel execution when the
-            base relation and grouping count clear the two-phase
-            thresholds, serial below them (so small workloads never pay
-            parallel overhead).  ``serial``, ``wavefront``, and
-            ``morsel`` force that mode.
+        parallelism: worker threads.  1 (the default) executes the
+            lowered linear schedule serially; >= 2 lets the lowering
+            put the plan on dependency waves run by a thread pool
+            (when the cost model's parallel floors are cleared),
+            producing bit-identical tables and equal metrics totals.
         dictionary_cache: a shared plan-wide dictionary cache.  By
             default each ``execute`` call builds a fresh one; serving
             workloads that re-execute plans over the same base relation
@@ -206,10 +187,10 @@ class PlanExecutor:
             and regime.  Defaults to the process-wide registry, which is
             the no-op singleton unless explicitly enabled — recording is
             read-only and never changes results.
-        model: cost model for auto-mode resolution and lowering (e.g. a
-            session's calibrated :class:`~repro.costmodel.layers.
-            LayeredCostModel`); None builds fresh uncalibrated models
-            from ``estimator`` as before — bit-identical behavior.
+        model: cost model for the lowering, including its serial-or-
+            waves decision (e.g. a session's calibrated
+            :class:`~repro.costmodel.layers.LayeredCostModel`); None
+            builds a fresh uncalibrated model from ``estimator``.
         result_cache: semantic result cache
             (:class:`~repro.cache.ResultCache`).  When given, the
             lowering substitutes ``CacheRead`` operators for groupings
@@ -232,17 +213,11 @@ class PlanExecutor:
         estimator: "CardinalityEstimator | None" = None,
         memory_budget_bytes: float | None = None,
         metrics: MetricsRegistry | None = None,
-        mode: str = "auto",
         model: "EngineCostModel | None" = None,
         result_cache: ResultCache | None = None,
     ) -> None:
         if parallelism < 1:
             raise ExecutionError("parallelism must be >= 1")
-        if mode not in MODE_CHOICES:
-            raise ExecutionError(
-                f"unknown execution mode {mode!r}; expected one of "
-                f"{MODE_CHOICES}"
-            )
         self._catalog = catalog
         self._base_table = base_table
         self._aggregates = aggregates or [AggregateSpec.count_star("cnt")]
@@ -254,7 +229,6 @@ class PlanExecutor:
         self._estimator = estimator
         self._memory_budget_bytes = memory_budget_bytes
         self._metrics = metrics if metrics is not None else get_metrics()
-        self._mode = mode
         self._model = model
         self._result_cache = result_cache
         self._agg_sig = aggregate_signature(self._aggregates)
@@ -264,63 +238,18 @@ class PlanExecutor:
 
     # -- lowering -----------------------------------------------------------------
 
-    def resolve_mode(self, plan: LogicalPlan) -> str:
-        """The execution mode this executor would run ``plan`` under.
-
-        Forced modes pass through.  ``auto`` resolves from the workload
-        shape: serial for ``parallelism=1``; with workers available,
-        the cost model's :meth:`~repro.costmodel.engine_model.
-        EngineCostModel.execution_mode_choice` picks morsel execution
-        only when the base relation and grouping count clear the
-        two-phase thresholds — small workloads fall back to serial so
-        parallel execution never regresses them.
-        """
-        if self._mode != "auto":
-            return self._mode
-        if self._parallelism <= 1:
-            return "serial"
-        n_groupings = plan.node_count()
-        if self._model is not None:
-            return self._model.execution_mode_choice(
-                n_groupings, self._parallelism
-            ).mode
-        if self._estimator is not None:
-            from repro.costmodel.engine_model import EngineCostModel
-
-            model = EngineCostModel(
-                self._estimator,
-                catalog=self._catalog,
-                base_table=self._base_table,
-                use_indexes=self._use_indexes,
-            )
-            return model.execution_mode_choice(
-                n_groupings, self._parallelism
-            ).mode
-        from repro.costmodel.engine_model import default_execution_mode
-
-        rows = self._catalog.get(self._base_table).num_rows
-        return default_execution_mode(rows, n_groupings, self._parallelism)
-
     def lower(
         self, plan: LogicalPlan, steps: list[Step] | None = None
     ) -> "PhysicalPlan":
         """Lower ``plan`` to the physical plan this executor would run.
 
-        Serial lowering honors ``steps`` (depth-first when None);
-        wavefront and morsel lowering build the wavefront schedule and
-        reject an explicit linear order.
+        With ``parallelism=1`` the lowering honors ``steps``
+        (depth-first when None); a parallel executor schedules itself
+        and rejects an explicit linear order.
         """
         from repro.physical.lowering import lower as lower_plan
         from repro.physical.plan import PhysicalPlanError
 
-        mode = self.resolve_mode(plan)
-        if steps is not None and (mode != "serial" or self._parallelism > 1):
-            # Even when auto resolves a parallel executor to serial, a
-            # caller-supplied linear order has no meaning: the executor
-            # stays free to re-resolve per plan.
-            raise ExecutionError(
-                "parallel execution schedules itself; pass steps=None"
-            )
         try:
             return lower_plan(
                 plan,
@@ -331,7 +260,6 @@ class PlanExecutor:
                 estimator=self._estimator,
                 memory_budget_bytes=self._memory_budget_bytes,
                 steps=steps,
-                mode=mode,
                 parallelism=self._parallelism,
                 model=self._model,
                 result_cache=self._result_cache,
@@ -346,9 +274,9 @@ class PlanExecutor:
     ) -> ExecutionResult:
         """Lower ``plan``, verify the physical plan, and interpret it.
 
-        With ``parallelism >= 2`` the plan's wavefront schedule is used
-        and ``steps`` must be None — a caller-supplied linear order has
-        no meaning once independent pipelines run concurrently.
+        With ``parallelism >= 2`` ``steps`` must be None — a
+        caller-supplied linear order has no meaning once independent
+        pipelines may run concurrently.
         """
         if plan.relation != self._base_table:
             raise ExecutionError(
@@ -379,7 +307,7 @@ class PlanExecutor:
     # -- physical interpretation -------------------------------------------------
 
     def execute_physical(self, physical: "PhysicalPlan") -> ExecutionResult:
-        """Interpret a lowered physical plan (serial/wavefront/morsel)."""
+        """Interpret a lowered physical plan, serially or on its waves."""
         parallel = physical.waves is not None
         dictionaries = self._dictionary_cache or DictionaryCache(
             metrics=self._metrics
@@ -405,12 +333,8 @@ class PlanExecutor:
             mode=physical.mode,
         ) as plan_span:
             try:
-                if physical.mode == "morsel":
-                    local_peak = self._execute_morsel(
-                        physical, result, dictionaries, current_before
-                    )
-                elif parallel:
-                    local_peak = self._execute_wavefront(
+                if parallel:
+                    local_peak = self._execute_waves(
                         physical, result, dictionaries, current_before
                     )
                 else:
@@ -492,7 +416,7 @@ class PlanExecutor:
                     f"repro_dictcache_{stat}_total", delta, relation=relation
                 )
 
-    # -- execution modes -----------------------------------------------------------
+    # -- schedules -----------------------------------------------------------------
 
     def _execute_serial(
         self,
@@ -510,49 +434,37 @@ class PlanExecutor:
             local_peak = max(local_peak, self._catalog.current_temp_bytes)
         return local_peak
 
-    def _execute_wavefront(
+    def _execute_waves(
         self,
         physical: "PhysicalPlan",
         result: ExecutionResult,
         dictionaries: DictionaryCache,
         current_before: int,
     ) -> int:
-        """Run the dependency-wave schedule on a thread pool.
+        """Run the dependency waves on one thread pool.
 
         Each pipeline aggregates into its own ``ExecutionMetrics``;
-        after every wave the per-pipeline metrics fold into the result
-        in schedule order, so totals are deterministic and equal to a
-        serial run's regardless of thread interleaving.
+        after every wave they fold into the result in schedule order,
+        so totals are deterministic and equal to a serial run's
+        regardless of thread interleaving.
         """
         local_peak = current_before
         assert physical.waves is not None
         with ThreadPoolExecutor(
-            max_workers=self._parallelism,
-            thread_name_prefix="repro-wave",
+            max_workers=self._parallelism, thread_name_prefix="repro-wave"
         ) as pool:
             for wave in physical.waves:
-                with self._tracer.span(
-                    "execute.wave",
-                    index=wave.index,
-                    nodes=len(wave.pipelines),
-                ) as wave_span:
-                    futures = [
-                        pool.submit(
-                            self._run_pipeline_isolated,
-                            physical,
-                            physical.pipelines[index],
-                            result,
-                            dictionaries,
-                            wave_span,
-                        )
-                        for index in wave.pipelines
-                    ]
-                    wave_metrics = [future.result() for future in futures]
+                wave_metrics = {
+                    index: ExecutionMetrics() for index in wave.pipelines
+                }
+                self._run_wave(
+                    physical, wave, result, dictionaries, wave_metrics, pool
+                )
                 # Fold in deterministic schedule order, not completion
                 # order; peak temp storage is maximal right before the
                 # wave's drops run.
-                for metrics in wave_metrics:
-                    result.metrics.merge_in(metrics)
+                for index in wave.pipelines:
+                    result.metrics.merge_in(wave_metrics[index])
                 local_peak = max(
                     local_peak, self._catalog.current_temp_bytes
                 )
@@ -560,72 +472,67 @@ class PlanExecutor:
                     self._run_drop(physical, physical.pipelines[index])
         return local_peak
 
-    def _execute_morsel(
+    def _run_wave(
         self,
         physical: "PhysicalPlan",
+        wave: "PhysicalWave",
         result: ExecutionResult,
         dictionaries: DictionaryCache,
-        current_before: int,
-    ) -> int:
-        """Run the wave schedule with morsel-driven operator batches.
+        wave_metrics: dict[int, ExecutionMetrics],
+        pool: ThreadPoolExecutor,
+    ) -> None:
+        """Run one wave's compute pipelines as pool tasks.
 
-        Per wave, pipelines whose grouping was lowered with
-        ``morsels > 1`` are batched by input table; each batch computes
-        all its groupings over shared morsel scans
-        (:func:`~repro.engine.morsel.compute_morsel_groupings`), with
-        thread workers *inside* the batch.  Pipelines then run in
-        schedule order — batched groupings pick up their precomputed
-        result and record the exact counters a serial run would, the
-        rest execute normally — so results and metrics are
-        deterministic and equal to serial execution's.
+        Every input table feeding at least two feasible groupings
+        becomes one shared-scan batch
+        (:func:`~repro.engine.morsel.compute_morsel_groupings`, its
+        morsels running on the pool); every other pipeline starts at
+        once and overlaps the batch.  Batched pipelines start when
+        their batch is done and claim its precomputed result.
         """
-        local_peak = current_before
-        assert physical.waves is not None
-        for wave in physical.waves:
-            with self._tracer.span(
-                "execute.wave",
-                index=wave.index,
-                nodes=len(wave.pipelines),
-            ) as wave_span:
-                batches: dict[str, list[tuple[int, object]]] = {}
-                for index in wave.pipelines:
-                    entry = self._morsel_batch_entry(
-                        physical, physical.pipelines[index]
-                    )
-                    if entry is not None:
-                        source_name, op = entry
-                        batches.setdefault(source_name, []).append(
-                            (index, op)
-                        )
-                precomputed: dict[int, Table] = {}
-                for source_name, members in batches.items():
-                    # A batch of one shares nothing: the serial path is
-                    # strictly cheaper than partial-state plumbing.
-                    if len(members) < 2:
-                        continue
-                    self._run_morsel_batch(
-                        physical,
-                        source_name,
-                        members,
-                        dictionaries,
-                        precomputed,
-                        wave_span,
-                    )
-                for index in wave.pipelines:
-                    self._run_pipeline(
+        futures: list[Future[None]] = []
+        with self._tracer.span(
+            "execute.wave", index=wave.index, nodes=len(wave.pipelines)
+        ) as wave_span:
+
+            def submit(
+                index: int, precomputed: dict[int, Table] | None = None
+            ) -> None:
+                futures.append(
+                    pool.submit(
+                        self._run_pipeline,
                         physical,
                         physical.pipelines[index],
                         result,
                         dictionaries,
-                        parent_span=wave_span,
-                        precomputed=precomputed,
+                        wave_metrics[index],
+                        wave_span,
+                        precomputed,
                     )
-                local_peak = max(
-                    local_peak, self._catalog.current_temp_bytes
                 )
-                for index in wave.drops:
-                    self._run_drop(physical, physical.pipelines[index])
-        return local_peak
+
+            batches: dict[str, list[tuple[int, GroupingOperator]]] = {}
+            for index in wave.pipelines:
+                entry = self._morsel_batch_entry(
+                    physical, physical.pipelines[index]
+                )
+                if entry is None:
+                    submit(index)
+                else:
+                    source_name, op = entry
+                    batches.setdefault(source_name, []).append((index, op))
+            for source_name, members in batches.items():
+                self._run_morsel_batch(
+                    physical,
+                    source_name,
+                    members,
+                    dictionaries,
+                    pool,
+                    submit,
+                    wave_span,
+                )
+            for future in futures:
+                future.result()
 
     def _morsel_batch_entry(
         self, physical: "PhysicalPlan", pipeline: "PhysicalPipeline"
@@ -663,51 +570,63 @@ class PlanExecutor:
         self,
         physical: "PhysicalPlan",
         source_name: str,
-        members: list[tuple[int, object]],
+        members: list[tuple[int, "GroupingOperator"]],
         dictionaries: DictionaryCache,
-        precomputed: dict[int, Table],
+        pool: ThreadPoolExecutor,
+        submit: Callable[..., None],
         wave_span: Span,
     ) -> None:
-        """Compute one shared-scan batch of groupings over morsels."""
+        """Run one input's shared-scan batch; submit every member's task.
+
+        Members whose grouping cannot run two-phase are submitted at
+        once, as are all members when fewer than two can (a batch of
+        one shares nothing, so the single-pass kernel is strictly
+        cheaper).  The rest compute over shared morsel scans, then
+        their pipelines are submitted to claim the results.
+        """
         from repro.physical import plan as phys
 
+        if len(members) < 2:
+            for index, _ in members:
+                submit(index)
+            return
         table = self._temps.get(source_name)
-        groupings = []
-        morsels = 1
-        for _, op in members:
-            assert isinstance(op, phys.GroupingOperator)
+        batch: list[tuple[int, "GroupingOperator", MorselGrouping]] = []
+        for index, op in members:
             aggregates = (
                 self._reaggregates
                 if isinstance(op, phys.Reaggregate)
                 else self._aggregates
             )
-            groupings.append(
-                MorselGrouping(
-                    table,
-                    list(op.keys),
-                    aggregates,
-                    name=op.output,
-                    dictionaries=dictionaries,
-                )
+            # Feasibility is only known here (it needs the per-key
+            # cardinalities).
+            grouping = MorselGrouping(
+                table,
+                list(op.keys),
+                aggregates,
+                name=op.output,
+                dictionaries=dictionaries,
             )
-            morsels = max(morsels, op.morsels)
-        # Feasibility is only known here (it needs the per-key
-        # cardinalities).  With fewer than two feasible groupings the
-        # shared scan amortizes nothing, so the whole batch — including
-        # would-be fallbacks — takes the serial interpreter instead.
-        if sum(1 for g in groupings if g.feasible) < 2:
+            if grouping.feasible:
+                batch.append((index, op, grouping))
+            else:
+                submit(index)
+        if len(batch) < 2:
+            for index, _, _ in batch:
+                submit(index)
             return
+        morsels = max(op.morsels for _, op, _ in batch)
         registry = self._metrics
         with self._tracer.span_under(
             wave_span,
             "execute.morsel_batch",
             source=source_name,
-            groupings=len(members),
+            groupings=len(batch),
             morsels=morsels,
         ) as batch_span:
             started = monotonic()
             tables, stats = compute_morsel_groupings(
-                table, groupings, morsels, self._parallelism
+                table, [grouping for _, _, grouping in batch], morsels, pool
             )
             batch_seconds = monotonic() - started
             for i, (start, stop) in enumerate(stats.ranges):
@@ -721,7 +640,6 @@ class PlanExecutor:
                     pass
             batch_span.set(
                 morsels_run=stats.morsels,
-                fallbacks=stats.fallbacks,
                 bytes=sum(stats.bytes_per_morsel),
             )
             if registry.enabled:
@@ -746,28 +664,11 @@ class PlanExecutor:
                         stop - start,
                         relation=relation,
                     )
-        for (index, op), out in zip(members, tables):
-            assert isinstance(op, phys.GroupingOperator)
-            precomputed[op.op_id] = out
-
-    def _run_pipeline_isolated(
-        self,
-        physical: "PhysicalPlan",
-        pipeline: "PhysicalPipeline",
-        result: ExecutionResult,
-        dictionaries: DictionaryCache,
-        wave_span: Span,
-    ) -> ExecutionMetrics:
-        metrics = ExecutionMetrics()
-        self._run_pipeline(
-            physical,
-            pipeline,
-            result,
-            dictionaries,
-            metrics=metrics,
-            parent_span=wave_span,
-        )
-        return metrics
+        precomputed = {
+            op.op_id: out for (_, op, _), out in zip(batch, tables)
+        }
+        for index, _, _ in batch:
+            submit(index, precomputed)
 
     # -- pipeline interpreter ------------------------------------------------------
 

@@ -26,8 +26,8 @@ class ExecutionMetrics:
     queries_executed: int = 0
     sort_ops: int = 0
     per_query_bytes: dict[str, int] = field(default_factory=dict)
-    #: Execution mode that produced these counters ("serial",
-    #: "wavefront", or "morsel").  Descriptive, not a counter: it is
+    #: Execution mode that produced these counters ("serial" or
+    #: "morsel").  Descriptive, not a counter: it is
     #: excluded from :data:`COUNTER_FIELDS`, :meth:`as_dict`, and
     #: merging, so mode never perturbs counter equality checks.
     mode: str = "serial"

@@ -1,10 +1,9 @@
 """Morsel-driven two-phase aggregation: row-range partials + merge.
 
-The wavefront executor parallelizes *across* plan nodes, which on a
-row-store pays one full scan per Group By and serializes small numpy
-kernels on the GIL.  Morsel execution turns that inside out: the base
-relation (or a materialized temp) is split into row-range **morsels**;
-each morsel pays one shared row-store pass (``Table.touch_range``) that
+Running every Group By on its own pays one full row-store scan per
+grouping.  Morsel execution turns that inside out: the base relation
+(or a materialized temp) is split into row-range **morsels**; each
+morsel pays one shared row-store pass (``Table.touch_range``) that
 feeds *every* grouping in the batch, and each grouping computes a
 decomposable :class:`~repro.engine.aggregation.PartialGroupState` per
 morsel (count → sum of counts, sum → sum, min/max → min/max, avg →
@@ -12,19 +11,19 @@ morsel (count → sum of counts, sum → sum, min/max → min/max, avg →
 group results, bit-identical to the single-pass ``group_by`` kernels —
 the paper's shared-scan idea applied at the physical layer, with
 thread-parallelism *inside* the operator batch (morsel workers run
-numpy kernels that release the GIL) instead of across plan nodes.
+numpy kernels that release the GIL).
 
 :class:`MorselGrouping` prepares one grouping for morsel execution and
-falls back to plain :func:`~repro.engine.aggregation.group_by` when the
-two-phase plan cannot apply (empty key list, empty input, compressed
-composite codes).  :func:`compute_morsel_groupings` runs a whole batch:
-one shared scan per morsel, all partials, all merges.
+reports whether the two-phase plan can apply (``feasible`` is False for
+an empty key list, an empty input, or a near-unique composite domain);
+infeasible groupings never enter a batch — the executor runs them with
+the single-pass kernel.  :func:`compute_morsel_groupings` runs a whole
+batch: one shared scan per morsel, all partials, all merges.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -35,7 +34,6 @@ from repro.engine.aggregation import (
     PartialGroupState,
     _column_codes,
     _combined_codes,
-    group_by,
     merge_partial_states,
     partial_aggregate_state,
 )
@@ -58,7 +56,7 @@ MAX_MORSELS = 64
 #: per-morsel regime loses: bincount partials pay O(radix) slot scans
 #: per morsel, sort partials pay a comparison sort per morsel, and the
 #: merge re-walks the domain — all to rediscover groups the single-pass
-#: kernel finds in one bincount.  Such groupings fall back.
+#: kernel finds in one bincount.  Such groupings stay out of batches.
 MORSEL_RADIX_SLACK = 2
 
 
@@ -102,9 +100,8 @@ class MorselGrouping:
     plan-wide dictionary cache), then serves per-morsel
     :meth:`partial` states and the final :meth:`merge`.  ``feasible``
     is False when the two-phase plan cannot apply — empty key list,
-    empty input, or a compressed composite code (no per-key layout to
-    decode groups from) — in which case :meth:`fallback` computes the
-    grouping with the single-pass kernel instead.
+    empty input, or a composite domain too large for per-morsel
+    partials — and such a grouping must not join a batch.
 
     Args:
         table: input relation (base table or materialized temp).
@@ -138,8 +135,9 @@ class MorselGrouping:
             # Cheap precheck: the composite radix is the product of the
             # per-key dictionary cardinalities, so infeasibility is
             # known before paying for the combined-code array.  The
-            # per-column codes come from the plan-wide cache, where the
-            # fallback's single-pass kernel reuses them.
+            # per-column codes come from the plan-wide cache, where a
+            # single-pass kernel run for an infeasible grouping reuses
+            # them.
             radix = 1
             for key in self.keys:
                 _, uniques = _column_codes(table, key, dictionaries)
@@ -220,21 +218,6 @@ class MorselGrouping:
             result.set_dictionary(key, *parents)
         return result
 
-    def fallback(self) -> Table:
-        """Single-pass computation for infeasible groupings.
-
-        Pays its own row-store pass (``touch``), exactly the work the
-        serial executor would do for this grouping.
-        """
-        self.table.touch()
-        return group_by(
-            self.table,
-            self.keys,
-            self.aggregates,
-            name=self.name,
-            dictionaries=self._dictionaries,
-        )
-
 
 @dataclass
 class MorselBatchStats:
@@ -243,70 +226,57 @@ class MorselBatchStats:
     morsels: int
     ranges: list[tuple[int, int]]
     bytes_per_morsel: list[int]
-    fallbacks: int
 
 
 def compute_morsel_groupings(
     table: Table,
     groupings: Sequence[MorselGrouping],
     morsels: int,
-    parallelism: int = 1,
+    pool: Executor | None = None,
 ) -> tuple[list[Table], MorselBatchStats]:
-    """Run a batch of groupings over shared morsel scans.
+    """Run a batch of feasible groupings over shared morsel scans.
 
     Each morsel pays one ``touch_range`` pass over ``table`` — shared
-    by every feasible grouping in the batch — then computes every
-    grouping's partial state for that row range.  Workers run on a
-    thread pool of ``parallelism`` (numpy kernels release the GIL);
-    partials are merged in morsel-index order regardless of completion
-    order, so results and metrics are deterministic.
+    by every grouping in the batch — then computes every grouping's
+    partial state for that row range.  Morsels run as tasks on
+    ``pool`` (numpy kernels release the GIL), or inline without one;
+    the caller must not be one of the pool's workers.  Partials are
+    merged in morsel-index order regardless of completion order, so
+    results are deterministic.
 
     Returns:
         (result tables, batch stats) with results in ``groupings``
         order.
+
+    Raises:
+        ValueError: if a grouping is infeasible.
     """
-    feasible = [g for g in groupings if g.feasible]
-    ranges = morsel_ranges(table.num_rows, morsels) if feasible else []
+    if not all(grouping.feasible for grouping in groupings):
+        raise ValueError("infeasible groupings cannot join a morsel batch")
+    ranges = morsel_ranges(table.num_rows, morsels)
     bytes_per_morsel = [0] * len(ranges)
-    partials: dict[int, list[PartialGroupState | None]] = {
-        id(grouping): [None] * len(ranges) for grouping in feasible
-    }
+    partials: list[list[PartialGroupState]] = [[] for _ in ranges]
 
     def run_morsel(index: int) -> None:
         start, stop = ranges[index]
         # One shared row-store pass feeds every grouping in the batch.
         bytes_per_morsel[index] = table.touch_range(start, stop)
-        for grouping in feasible:
-            partials[id(grouping)][index] = grouping.partial(start, stop)
+        partials[index] = [
+            grouping.partial(start, stop) for grouping in groupings
+        ]
 
-    if ranges:
-        # More threads than cores only adds GIL churn — results are
-        # identical either way (merge order is fixed by morsel index).
-        workers = min(
-            max(parallelism, 1), len(ranges), os.cpu_count() or 1
-        )
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(run_morsel, range(len(ranges))))
-        else:
-            for index in range(len(ranges)):
-                run_morsel(index)
+    if pool is not None and len(ranges) > 1:
+        list(pool.map(run_morsel, range(len(ranges))))
+    else:
+        for index in range(len(ranges)):
+            run_morsel(index)
 
-    results: list[Table] = []
-    fallbacks = 0
-    for grouping in groupings:
-        if grouping.feasible:
-            states = partials[id(grouping)]
-            assert all(state is not None for state in states)
-            results.append(
-                grouping.merge([s for s in states if s is not None])
-            )
-        else:
-            fallbacks += 1
-            results.append(grouping.fallback())
+    results = [
+        grouping.merge([states[g] for states in partials])
+        for g, grouping in enumerate(groupings)
+    ]
     return results, MorselBatchStats(
         morsels=len(ranges),
         ranges=ranges,
         bytes_per_morsel=bytes_per_morsel,
-        fallbacks=fallbacks,
     )

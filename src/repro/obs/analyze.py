@@ -264,27 +264,24 @@ def explain_analyze(
     plan: LogicalPlan,
     schedule: str = "storage",
     parallelism: int = 1,
-    mode: str = "auto",
 ) -> PlanAnalysis:
     """Execute ``plan`` instrumented and join estimates with actuals.
 
     Args:
         session: a :class:`repro.api.Session` (duck-typed: needs
             ``coster()``, ``estimator``, and ``execute(plan, schedule=,
-            tracer=, parallelism=, mode=)``) bound to the plan's base
+            tracer=, parallelism=)``) bound to the plan's base
             relation.
         plan: the logical plan to run.
         schedule: execution schedule, as in ``Session.execute``.
-        parallelism: worker threads for parallel execution (node spans
-            are matched by label, so analysis works identically either
-            way).
-        mode: execution mode, as in ``Session.execute`` (morsel-batched
-            groupings report regime ``morsel``).
+        parallelism: worker threads, as in ``Session.execute`` (node
+            spans are matched by label, so analysis works identically
+            either way; morsel-batched groupings report regime
+            ``morsel``).
     """
     tracer = Tracer()
     execution = session.execute(
-        plan, schedule=schedule, tracer=tracer, parallelism=parallelism,
-        mode=mode,
+        plan, schedule=schedule, tracer=tracer, parallelism=parallelism
     )
     return analyze_execution(
         plan, execution, tracer, session.coster(), session.estimator

@@ -216,7 +216,7 @@ class Tracer:
 
     The tracer is thread-safe: span records and counters are guarded by
     one lock, while the open-span stack is *per thread*, so workers of
-    the parallel wavefront executor each nest their own spans without
+    the parallel executor each nest their own spans without
     corrupting each other's parentage.  A span that must hang off
     another thread's span (a per-node span under the executor's wave
     span) is opened with :meth:`span_under`.

@@ -12,7 +12,7 @@ lower`) that maps a logical plan onto those operators using the cost
 model and column statistics.
 
 The executor (:class:`repro.engine.executor.PlanExecutor`) is an
-interpreter of physical plans: serial and wavefront-parallel execution,
+interpreter of physical plans: serial and wave-parallel execution,
 the naive baseline, and the shared-scan baseline all run through the
 same operator set.
 """

@@ -46,12 +46,12 @@ from repro.core.scheduling import (
 from repro.costmodel.engine_model import (
     SORT_ROW_BYTES,
     EngineCostModel,
+    default_execution_mode,
 )
 from repro.engine.aggregation import AggregateSpec
 from repro.engine.catalog import Catalog
 from repro.engine.morsel import morsel_count
 from repro.physical.plan import (
-    EXECUTION_MODES,
     CacheRead,
     CubeExpand,
     DropTemp,
@@ -93,7 +93,6 @@ class _Lowering:
         use_indexes: bool,
         estimator: CardinalityEstimator | None,
         memory_budget_bytes: float | None,
-        mode: str = "serial",
         parallelism: int = 1,
         model: EngineCostModel | None = None,
         result_cache: ResultCache | None = None,
@@ -105,7 +104,6 @@ class _Lowering:
         self.use_indexes = use_indexes
         self.estimator = estimator
         self.budget = memory_budget_bytes
-        self.mode = mode
         self.parallelism = parallelism
         self.result_cache = result_cache
         self.agg_sig = aggregate_signature(aggregates)
@@ -126,8 +124,21 @@ class _Lowering:
         self.pipelines: list[PhysicalPipeline] = []
         self.materialized: dict[PlanNode, int] = {}
         self.depths: dict[PlanNode, int] = {}
+        self.waves = parallelism > 1 and self._runs_on_waves()
 
     # -- helpers ---------------------------------------------------------------
+
+    def _runs_on_waves(self) -> bool:
+        """The cost model's serial-or-waves call for a parallel plan."""
+        n_groupings = self.plan.node_count()
+        if self.model is not None:
+            choice = self.model.execution_mode_choice(
+                n_groupings, self.parallelism
+            )
+            return choice.mode == "morsel"
+        rows = self.catalog.get(self.base_table).num_rows
+        mode = default_execution_mode(rows, n_groupings, self.parallelism)
+        return mode == "morsel"
 
     def add_op(self, op: PhysicalOperator) -> int:
         self.ops.append(op)
@@ -182,13 +193,13 @@ class _Lowering:
         return strategy, cost, mem, partitions
 
     def morsels_for(self, input_rows: float, partitions: int) -> int:
-        """Morsel count for one grouping under the lowering's mode.
+        """Morsel count for one grouping of the plan being lowered.
 
-        Only morsel-mode plans split inputs, and only for groupings the
-        executor can run two-phase: partitioned (over-budget) groupings
-        keep their own splitting scheme.
+        Only plans that run on waves split inputs, and only for
+        groupings the executor can run two-phase: partitioned
+        (over-budget) groupings keep their own splitting scheme.
         """
-        if self.mode != "morsel" or partitions != 1:
+        if not self.waves or partitions != 1:
             return 1
         return morsel_count(int(input_rows), self.parallelism)
 
@@ -591,13 +602,20 @@ def lower(
     estimator: CardinalityEstimator | None = None,
     memory_budget_bytes: float | None = None,
     steps: Sequence[Step] | None = None,
-    parallel: bool = False,
-    mode: str | None = None,
     parallelism: int = 1,
     model: EngineCostModel | None = None,
     result_cache: ResultCache | None = None,
 ) -> PhysicalPlan:
     """Lower a logical plan to a :class:`PhysicalPlan`.
+
+    This is the one place that decides how a plan runs.  With
+    ``parallelism=1`` it lowers the linear schedule.  With more workers
+    it asks the cost model (:meth:`~repro.costmodel.engine_model.
+    EngineCostModel.execution_mode_choice`) whether the base relation
+    and grouping count clear the parallel floors: if so the plan gets
+    dependency waves and its groupings a morsel split sized from
+    ``parallelism``, otherwise the linear schedule — small workloads
+    never pay parallel overhead.
 
     Args:
         plan: the logical plan.
@@ -613,16 +631,9 @@ def lower(
         memory_budget_bytes: plan-wide transient-memory budget; grouping
             operators estimated over it are demoted hash -> sort ->
             partitioned execution.
-        steps: an explicit linear schedule to honor (serial mode); None
-            derives depth-first order.
-        parallel: legacy alias for ``mode="wavefront"``; ignored when
-            ``mode`` is given.
-        mode: execution mode to lower for — one of
-            :data:`~repro.physical.plan.EXECUTION_MODES`.  ``wavefront``
-            and ``morsel`` build the wavefront schedule; ``morsel``
-            additionally splits grouping inputs into row-range morsels
-            sized from ``parallelism``.
-        parallelism: worker count the morsel split targets.
+        steps: an explicit linear schedule to honor with
+            ``parallelism=1``; None derives depth-first order.
+        parallelism: worker threads the plan will run with.
         model: cost model to lower against (e.g. a session's calibrated
             :class:`~repro.costmodel.layers.LayeredCostModel`); None
             builds a fresh uncalibrated :class:`EngineCostModel` from
@@ -631,12 +642,9 @@ def lower(
             derivable hits; None (the default) lowers cache-unaware —
             bit-identical to the pre-cache behavior.
     """
-    if mode is None:
-        mode = "wavefront" if parallel else "serial"
-    if mode not in EXECUTION_MODES:
+    if steps is not None and parallelism > 1:
         raise PhysicalPlanError(
-            f"unknown execution mode {mode!r}; expected one of "
-            f"{EXECUTION_MODES}"
+            "parallel lowering schedules itself; pass steps=None"
         )
     lowering = _Lowering(
         plan,
@@ -646,17 +654,12 @@ def lower(
         use_indexes,
         estimator,
         memory_budget_bytes,
-        mode=mode,
         parallelism=parallelism,
         model=model,
         result_cache=result_cache,
     )
     waves: tuple[PhysicalWave, ...] | None = None
-    if mode != "serial":
-        if steps is not None:
-            raise PhysicalPlanError(
-                "parallel lowering schedules itself; pass steps=None"
-            )
+    if lowering.waves:
         physical_waves = []
         for wave in wavefront_schedule(plan):
             compute_idx = []
@@ -682,7 +685,6 @@ def lower(
         pipelines=tuple(lowering.pipelines),
         waves=waves,
         memory_budget_bytes=memory_budget_bytes,
-        mode=mode,
     )
 
 

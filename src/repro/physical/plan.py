@@ -392,13 +392,12 @@ class PhysicalWave:
     drops: tuple[int, ...] = ()
 
 
-#: Execution modes a lowered plan can carry.  ``serial`` runs the
-#: pipelines in order, ``wavefront`` runs dependency waves across a
-#: thread pool (node-level parallelism), ``morsel`` runs the same waves
-#: but batches each wave's morselized groupings over shared row-range
-#: scans (operator-internal parallelism).  All three produce
-#: bit-identical tables and metrics totals.
-EXECUTION_MODES = ("serial", "wavefront", "morsel")
+#: Execution modes a lowered plan can carry (:attr:`PhysicalPlan.mode`).
+#: ``serial`` runs the pipelines in order; ``morsel`` runs dependency
+#: waves on a thread pool, batching each wave's groupings that share an
+#: input over shared row-range morsel scans.  Both produce bit-identical
+#: tables and metrics totals.
+EXECUTION_MODES = ("serial", "morsel")
 
 
 @dataclass(frozen=True)
@@ -412,10 +411,6 @@ class PhysicalPlan:
         waves: optional parallel schedule over the same pipelines.
         memory_budget_bytes: plan-wide transient-memory budget the
             lowering honored, or None for unbounded.
-        mode: one of :data:`EXECUTION_MODES`; the empty string (the
-            default) derives the historical mapping — ``wavefront``
-            when waves are present, ``serial`` otherwise — keeping
-            pre-morsel constructors and payloads valid.
     """
 
     relation: str
@@ -423,26 +418,18 @@ class PhysicalPlan:
     pipelines: tuple[PhysicalPipeline, ...]
     waves: tuple[PhysicalWave, ...] | None = None
     memory_budget_bytes: float | None = None
-    mode: str = ""
 
     def __post_init__(self) -> None:
-        if not self.mode:
-            derived = "wavefront" if self.waves is not None else "serial"
-            object.__setattr__(self, "mode", derived)
-        if self.mode not in EXECUTION_MODES:
-            raise PhysicalPlanError(
-                f"unknown execution mode {self.mode!r}; "
-                f"expected one of {EXECUTION_MODES}"
-            )
-        if self.mode != "serial" and self.waves is None:
-            raise PhysicalPlanError(
-                f"mode {self.mode!r} requires a wave schedule"
-            )
         for position, op in enumerate(self.operators):
             if op.op_id != position:
                 raise PhysicalPlanError(
                     f"operator at position {position} carries id {op.op_id}"
                 )
+
+    @property
+    def mode(self) -> str:
+        """``morsel`` when the plan runs on waves, else ``serial``."""
+        return "serial" if self.waves is None else "morsel"
 
     def op(self, op_id: int) -> PhysicalOperator:
         if not 0 <= op_id < len(self.operators):

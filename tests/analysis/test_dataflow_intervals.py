@@ -1,7 +1,7 @@
 """Interval-soundness property tests over the built-in workloads.
 
-For every built-in workload, lowered serially and in wavefront mode,
-under the cost model's chosen regimes and with hash/sort grouping
+For every built-in workload, lowered serially and onto parallel
+waves (morsel batches included), under the cost model's chosen regimes and with hash/sort grouping
 force-overridden: the analyzer must report zero diagnostics (the
 est_rows cross-check included) and every executed operator's actual
 output row count must fall inside its inferred [lo, hi] interval.
@@ -25,6 +25,7 @@ from repro.physical.plan import (
     SortGroupBy,
 )
 from repro.workloads.queries import combi_workload
+from tests.engine.support import wave_executor
 
 ROWS = 1_500
 
@@ -100,7 +101,18 @@ def test_executed_rows_within_inferred_intervals(
     workload, parallelism, strategy
 ):
     session, plan = workload
-    physical = session.lower(plan, parallelism=parallelism)
+    if parallelism == 1:
+        physical = session.lower(plan)
+    else:
+        # The workload is below the cost model's parallel floors; force
+        # the waves the parallel executor would run at scale.
+        physical = wave_executor(
+            session.catalog,
+            session.base_table,
+            session.estimator,
+            parallelism,
+        ).lower(plan)
+        assert physical.mode == "morsel"
     if strategy is not None:
         physical = force_strategy(physical, strategy)
     context = AnalysisContext(

@@ -83,15 +83,21 @@ class TestExactHits:
         assert reads
         assert all(op.est_cost == 0.0 for op in reads)
 
-    @pytest.mark.parametrize("mode", ["serial", "wavefront", "morsel"])
-    def test_bit_identical_across_modes(self, mode):
+    @pytest.mark.parametrize(
+        "parallelism,mode", [(1, "serial"), (4, "morsel")], ids=["serial", "morsel"]
+    )
+    def test_bit_identical_across_modes(self, parallelism, mode):
+        # Large enough to clear the cost model's parallel floors, so the
+        # parallel cold run executes on waves.
+        rows = 40_000
         queries = combi_queries()
-        reference = sales_session()
+        reference = sales_session(rows)
         expected = reference.execute(reference.optimize(queries).plan)
-        session = sales_session(cache=True)
+        session = sales_session(rows, cache=True)
         plan = session.optimize(queries).plan
-        cold = session.execute(plan, mode=mode, parallelism=4)
-        warm = session.execute(plan, mode=mode, parallelism=4)
+        cold = session.execute(plan, parallelism=parallelism)
+        warm = session.execute(plan, parallelism=parallelism)
+        assert cold.metrics.mode == mode
         assert_results_equal(expected, cold, queries)
         assert_results_equal(expected, warm, queries)
         assert session.cache_stats()["hits"] > 0

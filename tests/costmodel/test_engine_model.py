@@ -165,15 +165,6 @@ class TestExecutionModeChoice:
         assert choice.mode == "morsel"
         assert choice.morsels > 1
         assert choice.morsel_cost < choice.serial_cost
-        assert choice.wavefront_cost == choice.serial_cost
-
-    def test_auto_never_picks_wavefront(self):
-        for rows in (100, 50_000, 2_000_000):
-            for groupings in (1, 2, 30):
-                choice = self._model(rows).execution_mode_choice(
-                    groupings, parallelism=8
-                )
-                assert choice.mode in ("serial", "morsel")
 
     def test_default_mode_mirrors_floors(self):
         from repro.costmodel.engine_model import (

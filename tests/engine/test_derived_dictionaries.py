@@ -101,7 +101,7 @@ class TestBitIdentity:
         )
         keys = list(table.column_names)
         grouping = MorselGrouping(table, keys, COUNT)
-        [out], _ = compute_morsel_groupings(table, [grouping], 3, 1)
+        [out], _ = compute_morsel_groupings(table, [grouping], 3)
         assert_matches_legacy(out, keys)
 
 
@@ -117,7 +117,7 @@ class TestOnDemand:
         cache = DictionaryCache()
         group_by(table, ["k0", "k1"], COUNT, dictionaries=cache)
         grouping = MorselGrouping(table, ["k0", "k1"], COUNT, dictionaries=cache)
-        compute_morsel_groupings(table, [grouping], 2, 1)
+        compute_morsel_groupings(table, [grouping], 2)
         assert encode_calls == []
         assert cache.stats()["misses"] == 0
 

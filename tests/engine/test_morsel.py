@@ -10,6 +10,8 @@ sentinel), where float64 accumulation is exact, so any mismatch is an
 ordering or plumbing bug rather than float noise.
 """
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -69,10 +71,14 @@ def make_table(n, rng_seed=0, card=7):
 
 
 def two_phase(table, keys, aggregates, morsels):
-    """Compute one grouping via partial states + merge (or fallback)."""
+    """Compute one grouping via partial states + merge.
+
+    Infeasible groupings (empty input) take the single-pass kernel, as
+    the executor runs them.
+    """
     grouping = MorselGrouping(table, keys, aggregates)
     if not grouping.feasible:
-        return grouping.fallback()
+        return group_by(table, keys, aggregates)
     parts = [
         grouping.partial(start, stop)
         for start, stop in morsel_ranges(table.num_rows, morsels)
@@ -134,7 +140,11 @@ class TestPartialMergeBitIdentity:
         assert_tables_bit_identical(single, merged)
 
     def test_near_unique_keys_fall_back(self):
-        """A composite domain far beyond the input rows is infeasible."""
+        """A composite domain far beyond the input rows is infeasible.
+
+        The executor runs such a grouping with the single-pass kernel
+        instead of batching it.
+        """
         n = 400
         rng = np.random.default_rng(9)
         table = Table.wrap(
@@ -148,8 +158,6 @@ class TestPartialMergeBitIdentity:
         )
         grouping = MorselGrouping(table, ["hi", "lo"], [AggregateSpec.count_star()])
         assert not grouping.feasible
-        single = group_by(table, ["hi", "lo"], [AggregateSpec.count_star()])
-        assert_tables_bit_identical(single, grouping.fallback())
 
 
 class TestBatchExecution:
@@ -164,16 +172,17 @@ class TestBatchExecution:
         groupings = [
             MorselGrouping(table, keys, aggs) for keys, aggs in specs
         ]
-        tables, stats = compute_morsel_groupings(
-            table, groupings, 4, parallelism
-        )
+        with ThreadPoolExecutor(max_workers=parallelism) as pool:
+            tables, stats = compute_morsel_groupings(
+                table, groupings, 4, pool if parallelism > 1 else None
+            )
         assert stats.morsels == 4
-        assert stats.fallbacks == 0
         assert sum(stats.bytes_per_morsel) > 0
         for (keys, aggs), out in zip(specs, tables):
             assert_tables_bit_identical(group_by(table, keys, aggs), out)
 
-    def test_batch_with_infeasible_member_falls_back(self):
+    def test_batch_rejects_infeasible_member(self):
+        """Infeasible groupings never enter a batch."""
         # 12_000 x 7 = 84k composite slots: past the feasibility floor.
         table = make_table(12_000, rng_seed=5)
         wide = Table.wrap(
@@ -185,19 +194,17 @@ class TestBatchExecution:
             MorselGrouping(wide, ["a"], [AggregateSpec.count_star()]),
             MorselGrouping(wide, ["u", "a"], [AggregateSpec.count_star()]),
         ]
-        tables, stats = compute_morsel_groupings(wide, groupings, 3, 1)
-        assert stats.fallbacks == 1
-        assert_tables_bit_identical(
-            group_by(wide, ["u", "a"], [AggregateSpec.count_star()]),
-            tables[1],
-        )
+        assert groupings[0].feasible
+        assert not groupings[1].feasible
+        with pytest.raises(ValueError, match="infeasible"):
+            compute_morsel_groupings(wide, groupings, 3)
 
     def test_attached_dictionaries_match_plain_group_by(self):
         table = make_table(600, rng_seed=7)
         grouping = MorselGrouping(
             table, ["a", "b"], [AggregateSpec.count_star()]
         )
-        [out], _ = compute_morsel_groupings(table, [grouping], 3, 1)
+        [out], _ = compute_morsel_groupings(table, [grouping], 3)
         plain = group_by(table, ["a", "b"], [AggregateSpec.count_star()])
         for key in ("a", "b"):
             codes, uniques = out.dictionary(key)
@@ -238,7 +245,7 @@ class TestMorselPartitioning:
 
 
 class TestExecutorModes:
-    """End-to-end mode resolution, equality, and accounting."""
+    """End-to-end serial-or-waves choice, equality, and accounting."""
 
     def _session(self, rows, **kwargs):
         from repro.api import Session
@@ -259,7 +266,7 @@ class TestExecutorModes:
         session = self._session(40_000)
         plan = self._plan(session)
         serial = session.execute(plan, parallelism=1)
-        morsel = session.execute(plan, parallelism=4, mode="morsel")
+        morsel = session.execute(plan, parallelism=4)
         assert serial.metrics.mode == "serial"
         assert morsel.metrics.mode == "morsel"
         assert set(serial.results) == set(morsel.results)
@@ -287,16 +294,8 @@ class TestExecutorModes:
     def test_parallelism_one_is_always_serial(self):
         session = self._session(40_000)
         plan = self._plan(session)
-        result = session.execute(plan, parallelism=1, mode="auto")
+        result = session.execute(plan, parallelism=1)
         assert result.metrics.mode == "serial"
-
-    def test_unknown_mode_rejected(self):
-        from repro.engine.executor import ExecutionError
-
-        session = self._session(4_000)
-        plan = self._plan(session)
-        with pytest.raises(ExecutionError):
-            session.execute(plan, mode="vectorized")
 
     def test_mode_is_not_a_counter(self):
         """``mode`` must never perturb metrics equality or merging."""
@@ -313,7 +312,7 @@ class TestExecutorModes:
         registry = MetricsRegistry()
         session = self._session(40_000, metrics=registry)
         plan = self._plan(session)
-        session.execute(plan, parallelism=4, mode="morsel")
+        session.execute(plan, parallelism=4)
         flat = dict(registry.flat_snapshot())
         batch_keys = [
             key for key in flat
@@ -330,7 +329,7 @@ class TestExecutorModes:
         tracer = Tracer()
         session = self._session(40_000, tracer=tracer)
         plan = self._plan(session)
-        session.execute(plan, parallelism=4, mode="morsel")
+        session.execute(plan, parallelism=4)
         batch_spans = [
             s for s in tracer.spans if s.name == "execute.morsel_batch"
         ]

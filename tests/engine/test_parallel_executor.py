@@ -1,9 +1,13 @@
-"""Parallel wavefront execution: bit-identical to serial, equal metrics.
+"""Parallel execution on waves: bit-identical to serial, equal metrics.
 
 The acceptance bar for ``PlanExecutor(parallelism>=2)``: on every
 built-in workload the parallel run must produce bit-identical result
 tables and equal aggregated :class:`ExecutionMetrics` totals versus a
-serial run of the same plan.
+serial run of the same plan.  The inputs here are small, so the
+parallel executors get a cost model that always picks waves
+(:func:`tests.engine.support.wave_executor`): otherwise the lowering
+would pick the serial schedule and every comparison would be serial
+against serial.
 """
 
 import numpy as np
@@ -14,10 +18,12 @@ from repro.core.plan import LogicalPlan, NodeKind, PlanNode, SubPlan
 from repro.engine.catalog import Catalog
 from repro.engine.executor import ExecutionError, PlanExecutor
 from repro.obs.tracer import Tracer
+from repro.stats.cardinality import ExactCardinalityEstimator
 from repro.workloads.customers import make_customers
 from repro.workloads.queries import combi_workload
 from repro.workloads.sales import make_sales
 from repro.workloads.tpch import make_lineitem
+from tests.engine.support import wave_executor
 
 WORKLOAD_BUILDERS = {
     "sales": make_sales,
@@ -45,9 +51,14 @@ def run_both(maker, queries=None, parallelism=3):
         table = serial_session.catalog.get(serial_session.base_table)
         queries = combi_workload(list(table.column_names)[:4], 2)
     serial = serial_session.execute(serial_session.optimize(queries).plan)
-    parallel = parallel_session.execute(
-        parallel_session.optimize(queries).plan, parallelism=parallelism
-    )
+    parallel = wave_executor(
+        parallel_session.catalog,
+        parallel_session.base_table,
+        parallel_session.estimator,
+        parallelism,
+    ).execute(parallel_session.optimize(queries).plan)
+    assert serial.metrics.mode == "serial"
+    assert parallel.metrics.mode == "morsel"
     return serial, parallel
 
 
@@ -74,9 +85,10 @@ class TestHandBuiltPlans:
         serial_cat, parallel_cat = Catalog(), Catalog()
         serial_cat.add_table(random_table)
         parallel_cat.add_table(random_table.rename("r"))
+        estimator = ExactCardinalityEstimator(random_table)
         return (
-            PlanExecutor(serial_cat, "r"),
-            PlanExecutor(parallel_cat, "r", parallelism=parallelism),
+            PlanExecutor(serial_cat, "r", estimator=estimator),
+            wave_executor(parallel_cat, "r", estimator, parallelism),
         )
 
     def deep_plan(self):
@@ -98,6 +110,7 @@ class TestHandBuiltPlans:
         serial, parallel = self.fixture_executors(random_table, 4)
         a = serial.execute(self.deep_plan())
         b = parallel.execute(self.deep_plan())
+        assert b.metrics.mode == "morsel"
         assert set(a.results) == set(b.results)
         for query in a.results:
             assert_tables_identical(a.results[query], b.results[query])
@@ -116,6 +129,7 @@ class TestHandBuiltPlans:
         serial, parallel = self.fixture_executors(random_table, 2)
         a = serial.execute(self.cube_plan())
         b = parallel.execute(self.cube_plan())
+        assert b.metrics.mode == "morsel"
         for query in a.results:
             assert_tables_identical(a.results[query], b.results[query])
         assert a.metrics.as_dict() == b.metrics.as_dict()
@@ -130,6 +144,7 @@ class TestHandBuiltPlans:
         serial, parallel = self.fixture_executors(random_table, 2)
         a = serial.execute(self.rollup_plan())
         b = parallel.execute(self.rollup_plan())
+        assert b.metrics.mode == "morsel"
         for query in a.results:
             assert_tables_identical(a.results[query], b.results[query])
         assert a.metrics.as_dict() == b.metrics.as_dict()
@@ -145,6 +160,7 @@ class TestHandBuiltPlans:
         plan = self.deep_plan()
         a = serial.execute(plan)
         b = parallel.execute(plan)
+        assert b.metrics.mode == "morsel"
         for query in a.results:
             assert_tables_identical(a.results[query], b.results[query])
         assert a.metrics.index_scans == b.metrics.index_scans
@@ -171,9 +187,11 @@ class TestParallelContract:
     def test_temps_cleaned_up(self, random_table):
         catalog = Catalog()
         catalog.add_table(random_table)
-        executor = PlanExecutor(catalog, "r", parallelism=4)
+        executor = wave_executor(
+            catalog, "r", ExactCardinalityEstimator(random_table), 4
+        )
         plan = TestHandBuiltPlans().deep_plan()
-        executor.execute(plan)
+        assert executor.execute(plan).metrics.mode == "morsel"
         assert catalog.temp_names() == ()
         assert catalog.current_temp_bytes == 0
 
@@ -181,8 +199,12 @@ class TestParallelContract:
         catalog = Catalog()
         catalog.add_table(random_table)
         tracer = Tracer()
-        executor = PlanExecutor(
-            catalog, "r", parallelism=2, tracer=tracer, mode="wavefront"
+        executor = wave_executor(
+            catalog,
+            "r",
+            ExactCardinalityEstimator(random_table),
+            2,
+            tracer=tracer,
         )
         executor.execute(TestHandBuiltPlans().deep_plan())
         wave_spans = [s for s in tracer.spans if s.name == "execute.wave"]
@@ -214,3 +236,104 @@ class TestParallelContract:
         first_misses = cache.stats()["misses"]
         executor.execute(plan)
         assert cache.stats()["misses"] == first_misses
+
+
+class TestSchedulerContract:
+    def test_near_unique_grouping_runs_beside_the_batch(self, random_table):
+        """Only feasible groupings share a scan; the rest run on their own."""
+        from repro.core.plan import naive_plan
+
+        # high x mid spans 2,500 x 60 composite slots, far beyond what
+        # per-morsel partial states pay off for on 5,000 rows.
+        queries = [fs("low"), fs("mid"), fs("high", "mid")]
+        plan = naive_plan("r", queries)
+        serial_cat, parallel_cat = Catalog(), Catalog()
+        serial_cat.add_table(random_table)
+        parallel_cat.add_table(random_table.rename("r"))
+        estimator = ExactCardinalityEstimator(random_table)
+        tracer = Tracer()
+        serial = PlanExecutor(serial_cat, "r", estimator=estimator)
+        parallel = wave_executor(
+            parallel_cat, "r", estimator, 2, tracer=tracer
+        )
+        a = serial.execute(plan)
+        b = parallel.execute(plan)
+        assert b.metrics.mode == "morsel"
+        (batch,) = [
+            s for s in tracer.spans if s.name == "execute.morsel_batch"
+        ]
+        assert batch.attributes["groupings"] == 2
+        regimes = {
+            s.attributes["op_id"]: s.attributes["regime"]
+            for s in tracer.spans
+            if "regime" in s.attributes
+        }
+        physical = parallel.lower(plan)
+        by_keys = {op.keys: regimes[op.op_id] for op in physical.grouping_ops()}
+        assert by_keys[("low",)] == by_keys[("mid",)] == "morsel"
+        assert by_keys[("high", "mid")] in ("hash", "sort")
+        assert set(a.results) == set(b.results) == set(queries)
+        for query in a.results:
+            assert_tables_identical(a.results[query], b.results[query])
+        assert a.metrics.as_dict(per_query=True) == b.metrics.as_dict(
+            per_query=True
+        )
+
+    def test_stress_more_workers_than_cores(self, random_table):
+        """Concurrent pool tasks lose no result, temp or counter."""
+        import os
+        import sys
+
+        from repro.core.plan import naive_plan
+
+        def spool(parent, *children):
+            return SubPlan(
+                PlanNode(fs(*parent)),
+                tuple(SubPlan.leaf(fs(c)) for c in children),
+                required=False,
+            )
+
+        # Three temps materialize concurrently in wave 0, and their six
+        # children reaggregate concurrently in wave 1.
+        deep = LogicalPlan(
+            "r",
+            (
+                spool(("low", "mid"), "low", "mid"),
+                spool(("txt", "corr"), "txt", "corr"),
+                spool(("shadow", "high"), "shadow", "high"),
+            ),
+            frozenset(
+                fs(c) for c in ("low", "mid", "txt", "corr", "shadow", "high")
+            ),
+        )
+        wide = naive_plan(
+            "r",
+            [fs(c) for c in random_table.column_names]
+            + [fs("low", "mid"), fs("high", "mid"), fs("txt", "low")],
+        )
+        estimator = ExactCardinalityEstimator(random_table)
+        serial_cat, parallel_cat = Catalog(), Catalog()
+        serial_cat.add_table(random_table)
+        parallel_cat.add_table(random_table.rename("r"))
+        serial = PlanExecutor(serial_cat, "r", estimator=estimator)
+        workers = 4 * (os.cpu_count() or 1)
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for plan in (deep, wide):
+                expected = serial.execute(plan)
+                for _ in range(10):
+                    got = wave_executor(
+                        parallel_cat, "r", estimator, workers
+                    ).execute(plan)
+                    assert got.metrics.mode == "morsel"
+                    assert set(got.results) == set(expected.results)
+                    for query, table in expected.results.items():
+                        assert_tables_identical(table, got.results[query])
+                    assert got.metrics.as_dict(
+                        per_query=True
+                    ) == expected.metrics.as_dict(per_query=True)
+                    assert parallel_cat.temp_names() == ()
+                    assert parallel_cat.current_temp_bytes == 0
+        finally:
+            sys.setswitchinterval(previous)

@@ -17,6 +17,7 @@ from repro.physical.plan import (
 )
 from repro.workloads import make_sales
 from repro.workloads.queries import containment_workload
+from tests.engine.support import WavesModel, wave_executor
 
 
 def fs(*cols):
@@ -139,7 +140,18 @@ class TestStructure:
     def test_parallel_plan_builds_waves(self, session):
         queries = [fs("mid"), fs("low"), fs("mid", "low")]
         result = session.optimize(queries)
-        physical = session.lower(result.plan, parallelism=2, mode="wavefront")
+        # Below the cost model's parallel floors the lowering stays serial.
+        assert session.lower(result.plan, parallelism=2).waves is None
+        physical = lower(
+            result.plan,
+            catalog=session.catalog,
+            base_table="r",
+            aggregates=[],
+            estimator=session.estimator,
+            parallelism=2,
+            model=WavesModel(session.estimator, session.catalog, "r"),
+        )
+        assert physical.mode == "morsel"
         assert physical.waves is not None
         assert len(physical.waves) >= 1
         covered = [
@@ -157,7 +169,7 @@ class TestStructure:
                 aggregates=[],
                 estimator=session.estimator,
                 steps=[],
-                parallel=True,
+                parallelism=2,
             )
 
     def test_index_prefix_lowers_to_ordered_sort(self, session):
@@ -206,7 +218,13 @@ class TestBitIdentity:
         result = sales_session.optimize(sales_queries())
         serial = sales_session.execute(result.plan)
         depth = sales_session.execute(result.plan, schedule="depth_first")
-        par = sales_session.execute(result.plan, parallelism=4)
+        par = wave_executor(
+            sales_session.catalog,
+            sales_session.base_table,
+            sales_session.estimator,
+            4,
+        ).execute(result.plan)
+        assert par.metrics.mode == "morsel"
         tight = sales_session.execute(
             result.plan, memory_budget_bytes=64 * 1024.0
         )

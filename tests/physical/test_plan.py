@@ -146,5 +146,5 @@ class TestRender:
 
     def test_render_parallel_and_budget(self):
         text = small_plan(waves=True, budget=4096.0).render()
-        assert "mode=wavefront (2 waves)" in text
+        assert "mode=morsel (2 waves)" in text
         assert "budget=4096B" in text

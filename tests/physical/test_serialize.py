@@ -13,10 +13,22 @@ from repro.core.serialize import (
     physical_plan_to_json,
 )
 from repro.workloads.queries import containment_workload
+from tests.engine.support import wave_executor
 
 
 def fs(*cols):
     return frozenset(cols)
+
+
+def lower_on_waves(session, plan, parallelism, **kwargs):
+    """Lower ``plan`` onto dependency waves despite its small input."""
+    return wave_executor(
+        session.catalog,
+        session.base_table,
+        session.estimator,
+        parallelism,
+        **kwargs,
+    ).lower(plan)
 
 
 @pytest.fixture
@@ -36,11 +48,12 @@ class TestRoundTrip:
 
     def test_round_trip_parallel_with_budget(self, session):
         result = session.optimize(containment_workload(["low", "mid"]))
-        physical = session.lower(
-            result.plan, parallelism=2, memory_budget_bytes=1 << 20
+        physical = lower_on_waves(
+            session, result.plan, 2, memory_budget_bytes=float(1 << 20)
         )
         rebuilt = physical_plan_from_json(physical_plan_to_json(physical))
         assert rebuilt == physical
+        assert rebuilt.waves is not None
         assert rebuilt.waves == physical.waves
         assert rebuilt.memory_budget_bytes == float(1 << 20)
 
@@ -97,9 +110,7 @@ class TestCorruption:
 class TestMorselRoundTrip:
     def test_mode_and_morsels_survive(self, session):
         result = session.optimize(containment_workload(["low", "mid"]))
-        physical = session.lower(
-            result.plan, parallelism=4, mode="morsel"
-        )
+        physical = lower_on_waves(session, result.plan, 4)
         assert physical.mode == "morsel"
         rebuilt = physical_plan_from_json(physical_plan_to_json(physical))
         assert rebuilt == physical
@@ -112,4 +123,37 @@ class TestMorselRoundTrip:
         payload = physical_plan_to_dict(physical)
         payload.pop("mode", None)
         rebuilt = physical_plan_from_dict(payload)
-        assert rebuilt.mode in ("serial", "wavefront")
+        assert rebuilt.mode == physical.mode == "serial"
+
+    @pytest.mark.parametrize("legacy_mode", ["wavefront", "morsel"])
+    def test_legacy_mode_key_is_ignored(self, session, legacy_mode):
+        """Older payloads carry ``mode``; the wave schedule decides."""
+        from repro.engine.executor import PlanExecutor
+
+        plan = session.optimize(containment_workload(["low", "mid"])).plan
+        physical = lower_on_waves(session, plan, 2)
+        payload = physical_plan_to_dict(physical)
+        assert "mode" not in payload
+        payload["mode"] = legacy_mode
+        rebuilt = physical_plan_from_dict(payload)
+        assert rebuilt == physical
+        assert rebuilt.mode == "morsel"
+        executor = PlanExecutor(
+            session.catalog, "r", parallelism=2, estimator=session.estimator
+        )
+        assert rebuilt.check(executor.analysis_context()) == []
+        serial = PlanExecutor(
+            session.catalog, "r", estimator=session.estimator
+        ).execute(plan)
+        parallel = executor.execute_physical(rebuilt)
+        assert parallel.metrics.mode == "morsel"
+        assert set(parallel.results) == set(serial.results)
+        for query, table in serial.results.items():
+            other = parallel.results[query]
+            assert other.column_names == table.column_names
+            for column in table.column_names:
+                assert other[column].dtype == table[column].dtype
+                assert (other[column] == table[column]).all()
+        assert parallel.metrics.as_dict(
+            per_query=True
+        ) == serial.metrics.as_dict(per_query=True)

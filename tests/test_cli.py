@@ -228,9 +228,8 @@ class TestTrace:
             [
                 "trace",
                 "--workload", "sales",
-                "--rows", "2000",
+                "--rows", "40000",
                 "--parallelism", "2",
-                "--mode", "wavefront",
             ]
         )
         assert code == 0
