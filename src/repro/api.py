@@ -63,6 +63,7 @@ from repro.workloads.queries import (  # noqa: F401
 from repro.workloads.tpch import make_lineitem  # noqa: F401
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.physical.lowering import AggregateNeeds
     from repro.physical.plan import PhysicalPlan
 
 
@@ -545,7 +546,7 @@ class Session:
 
     def _executor(
         self,
-        aggregates: list[AggregateSpec] | None,
+        aggregates: "AggregateNeeds | None",
         tracer: Tracer | None,
         parallelism: int,
         memory_budget_bytes: float | None,
@@ -756,16 +757,19 @@ class Session:
         """Optimize and execute a workload with per-query aggregates.
 
         The Section 7.2 extension end to end: the optimizer plans over
-        the queries' column sets; execution materializes the union of
-        each subtree's aggregates and re-aggregates distributively
-        (AVG is decomposed and recombined automatically).
+        the queries' column sets; the lowering gives every node the
+        union of its subtree's aggregates, children reaggregate
+        distributively (AVG is decomposed and recombined
+        automatically), and the plan runs on the session's executor —
+        its estimator, tracer, metrics registry and result cache.
 
         Args:
             queries: list of :class:`repro.core.extensions.AggregateQuery`.
             options: optimizer knobs (CUBE/ROLLUP must stay disabled).
 
         Returns:
-            (OptimizationResult, MultiAggregateResult).
+            (OptimizationResult, ExecutionResult), each result projected
+            to the query's keys and requested aggregate aliases.
         """
         from repro.core.extensions import queries_to_column_sets
         from repro.engine.multi_aggregate import execute_multi_aggregate
@@ -773,6 +777,7 @@ class Session:
         column_sets = queries_to_column_sets(queries)
         optimization = self.optimize(column_sets, options)
         execution = execute_multi_aggregate(
-            self.catalog, self.base_table, optimization.plan, queries
+            self.catalog, self.base_table, optimization.plan, queries,
+            make_executor=lambda needs: self._executor(needs, None, 1, None),
         )
         return optimization, execution

@@ -6,30 +6,6 @@ every other execution path it runs through the physical layer: the
 naive logical plan lowers to one Scan + grouping pipeline per query.
 """
 
-from __future__ import annotations
+from repro.engine.executor import execute_naive as run_naive
 
-from repro.core.plan import LogicalPlan, naive_plan
-from repro.engine.aggregation import AggregateSpec
-from repro.engine.catalog import Catalog
-from repro.engine.executor import ExecutionResult, PlanExecutor
-
-
-def naive_logical_plan(
-    relation: str, queries: list[frozenset[str]]
-) -> LogicalPlan:
-    """The naive logical plan (re-exported for symmetry with planners)."""
-    return naive_plan(relation, queries)
-
-
-def run_naive(
-    catalog: Catalog,
-    base_table: str,
-    queries: list[frozenset[str]],
-    aggregates: list[AggregateSpec] | None = None,
-    use_indexes: bool = True,
-) -> ExecutionResult:
-    """Execute the naive plan and return its results and metrics."""
-    executor = PlanExecutor(
-        catalog, base_table, aggregates=aggregates, use_indexes=use_indexes
-    )
-    return executor.execute(naive_plan(base_table, queries))
+__all__ = ["run_naive"]

@@ -105,12 +105,11 @@ def shared_scan(
         result.batches,
         catalog=catalog,
         base_table=base_table,
+        aggregates=aggregates or [AggregateSpec.count_star()],
         estimator=estimator,
     )
     check_physical_plan(physical)
-    executor = PlanExecutor(
-        catalog, base_table, aggregates=aggregates, use_indexes=False
-    )
+    executor = PlanExecutor(catalog, base_table, use_indexes=False)
     execution = executor.execute_physical(physical)
     result.results = execution.results
     result.metrics = execution.metrics

@@ -557,7 +557,9 @@ def cmd_sql(args) -> int:
         session.catalog.drop(table.name)
         session.catalog.add_table(table.rename(parsed.table))
         session.invalidate_coster()
-    planned = plan_grouping_sets(parsed.to_expression(), session.catalog)
+    planned = plan_grouping_sets(
+        parsed.to_expression(), session.catalog, session.estimator
+    )
     print(f"strategy: {planned.strategy}")
     print("plan:")
     print(planned.optimization.plan.render())

@@ -16,7 +16,7 @@ implements exactly that comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro.engine.aggregation import AggregateSpec
 
@@ -104,34 +104,9 @@ def choose_merge_strategy(
     return MergeStrategy(kind, union_cost, split_cost)
 
 
-def rewrite_for_parent(
-    aggregates: Sequence[AggregateSpec],
-) -> tuple[AggregateSpec, ...]:
-    """Aggregates to request from a child computed off a materialized
-    parent (COUNT -> SUM-of-count etc.); see
-    :func:`repro.engine.aggregation.reaggregate_specs`."""
-    from repro.engine.aggregation import reaggregate_specs
-
-    return tuple(reaggregate_specs(list(aggregates)))
-
-
 def queries_to_column_sets(
     queries: Sequence[AggregateQuery],
 ) -> list[frozenset[str]]:
     """Project aggregate queries to plain column sets for the optimizer."""
     return [query.columns for query in queries]
 
-
-def aggregates_by_columns(
-    queries: Sequence[AggregateQuery],
-) -> Mapping[frozenset[str], tuple[AggregateSpec, ...]]:
-    """Index the aggregate lists by query column set, unioning clashes."""
-    table: dict[frozenset[str], tuple[AggregateSpec, ...]] = {}
-    for query in queries:
-        if query.columns in table:
-            table[query.columns] = union_aggregates(
-                table[query.columns], query.aggregates
-            )
-        else:
-            table[query.columns] = query.aggregates
-    return table

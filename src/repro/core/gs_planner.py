@@ -34,7 +34,7 @@ from repro.costmodel.base import PlanCoster
 from repro.costmodel.engine_model import EngineCostModel
 from repro.engine.aggregation import AggregateSpec, group_by
 from repro.engine.catalog import Catalog
-from repro.engine.executor import PlanExecutor
+from repro.engine.executor import ExecutionResult, PlanExecutor
 from repro.engine.join import hash_join
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.table import Table
@@ -87,16 +87,21 @@ def plan_grouping_sets(
     )
 
 
-def _make_optimizer(
+def _optimize_and_execute(
     catalog: Catalog,
     relation: str,
+    queries: list[frozenset[str]],
     estimator: CardinalityEstimator | None,
     options: OptimizerOptions | None,
-) -> GbMqoOptimizer:
+) -> tuple[OptimizationResult, ExecutionResult]:
+    """GB-MQO plan for ``queries``, run with the planner's estimator."""
     if estimator is None:
         estimator = SampledCardinalityEstimator(catalog.get(relation))
     model = EngineCostModel(estimator, catalog=catalog, base_table=relation)
-    return GbMqoOptimizer(PlanCoster(model), options)
+    optimizer = GbMqoOptimizer(PlanCoster(model), options)
+    optimization = optimizer.optimize(relation, queries)
+    executor = PlanExecutor(catalog, relation, estimator=estimator)
+    return optimization, executor.execute(optimization.plan)
 
 
 def _plan_selection(
@@ -137,10 +142,9 @@ def _plan_direct(
 ) -> PlannedGroupingSets:
     relation = expr.child.name
     queries = [frozenset(s) for s in expr.sets]
-    optimizer = _make_optimizer(catalog, relation, estimator, options)
-    optimization = optimizer.optimize(relation, queries)
-    executor = PlanExecutor(catalog, relation)
-    run = executor.execute(optimization.plan)
+    optimization, run = _optimize_and_execute(
+        catalog, relation, queries, estimator, options
+    )
     ordered = [
         (tuple(sorted(s)), run.results[frozenset(s)]) for s in expr.sets
     ]
@@ -181,10 +185,9 @@ def _plan_join_pushdown(
     pushed_sets = [
         frozenset(tuple(columns) + (left_key,)) for columns in expr.sets
     ]
-    optimizer = _make_optimizer(catalog, left.name, estimator, options)
-    optimization = optimizer.optimize(left.name, pushed_sets)
-    executor = PlanExecutor(catalog, left.name)
-    run = executor.execute(optimization.plan)
+    optimization, run = _optimize_and_execute(
+        catalog, left.name, pushed_sets, estimator, options
+    )
     metrics = run.metrics
 
     # Tagged union below the join; the Grp-Tag keeps each upper Group By

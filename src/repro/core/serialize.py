@@ -154,7 +154,9 @@ def physical_plan_from_dict(payload: dict[str, object]) -> "PhysicalPlan":
     The rebuilt plan is gated through the physical verifier rules
     (PV012+), so a corrupted payload is rejected with an error naming
     the violated invariant.  A ``mode`` key written by older versions
-    is ignored: the wave schedule alone decides how the plan runs.
+    is ignored: the wave schedule alone decides how the plan runs.  An
+    operator written without ``aggregates`` (older versions) loads with
+    the COUNT(*) default.
 
     Raises:
         PlanError: on version mismatch, unknown operator tags, or — as
@@ -163,6 +165,8 @@ def physical_plan_from_dict(payload: dict[str, object]) -> "PhysicalPlan":
     """
     # Imported here: repro.physical and repro.analysis build on core.
     from repro.analysis.physrules import check_physical_plan
+    from repro.engine.aggregation import AggregateSpec
+    from repro.engine.types import SchemaError
     from repro.physical.plan import (
         OP_TYPES,
         PhysicalPipeline,
@@ -191,8 +195,12 @@ def physical_plan_from_dict(payload: dict[str, object]) -> "PhysicalPlan":
             )
         fields = {k: _untuple(v) for k, v in entry.items() if k != "op"}
         try:
+            if "aggregates" in fields:
+                fields["aggregates"] = tuple(
+                    AggregateSpec(**spec) for spec in fields["aggregates"]
+                )
             operators.append(op_cls(**fields))
-        except TypeError as error:
+        except (TypeError, SchemaError) as error:
             raise PlanError(
                 f"malformed physical plan payload: {error}"
             ) from None

@@ -49,10 +49,10 @@ from __future__ import annotations
 import uuid
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.cache import ResultCache, aggregate_signature
-from repro.core.plan import LogicalPlan, PlanNode
+from repro.core.plan import LogicalPlan
 from repro.core.scheduling import Step
 from repro.engine.aggregation import AggregateSpec, group_by, reaggregate_specs
 from repro.engine.catalog import Catalog
@@ -71,6 +71,7 @@ from repro.obs.tracer import NOOP_TRACER, Span, Tracer
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.dataflow import AnalysisContext
     from repro.costmodel.engine_model import EngineCostModel
+    from repro.physical.lowering import AggregateNeeds
     from repro.physical.plan import (
         CubeExpand,
         GroupingOperator,
@@ -86,15 +87,11 @@ class ExecutionError(EngineError):
     """The executor was given an inconsistent plan or schedule."""
 
 
-def temp_name_for(node: PlanNode) -> str:
-    """Deterministic temporary-table name for a plan node."""
-    return "tmp__" + "__".join(sorted(node.columns))
-
-
 class TempScope:
     """One plan execution's temporaries, under run-unique catalog names.
 
-    Plans name temps deterministically (:func:`temp_name_for`), so two
+    Plans name temps deterministically
+    (:func:`~repro.physical.lowering.temp_name_for`), so two
     runs of one plan on a shared catalog would collide on them.  The
     scope stores each temp as its plan name plus a per-run suffix,
     resolves plan names to those catalog names, and drops only its own
@@ -133,7 +130,7 @@ class ExecutionResult:
     """Results and accounting for one plan execution.
 
     Attributes:
-        results: query column set -> result table (keys + ``cnt``).
+        results: query column set -> result table (keys + aggregates).
         metrics: operator-level counters for the run.
         peak_temp_bytes: highest temporary storage held at once.
         wall_seconds: elapsed wall-clock time.
@@ -146,14 +143,18 @@ class ExecutionResult:
 
 
 class PlanExecutor:
-    """Runs logical plans for COUNT(*) (or custom aggregate) workloads.
+    """Runs logical plans for COUNT(*), custom or per-query aggregates.
 
     Args:
         catalog: catalog holding the base relation (and its indexes).
         base_table: name of the base relation R.
-        aggregates: aggregate list for every required query; defaults to
-            COUNT(*) AS cnt.  Must be distributive (see
-            :func:`repro.engine.aggregation.reaggregate_specs`).
+        aggregates: aggregate list for every required query, or a
+            mapping from each query column set to its own list (each
+            node then computes the union its subtree needs); defaults
+            to COUNT(*) AS cnt.  Must be distributive (see
+            :func:`repro.engine.aggregation.reaggregate_specs`).  Only
+            the lowering reads it: every grouping operator carries its
+            own ``aggregates``.
         use_indexes: answer base-table Group Bys from a covering index
             when one exists and is narrower than the referenced columns.
         tracer: span tracer; when enabled, the run is wrapped in an
@@ -205,7 +206,7 @@ class PlanExecutor:
         self,
         catalog: Catalog,
         base_table: str,
-        aggregates: list[AggregateSpec] | None = None,
+        aggregates: "AggregateNeeds | None" = None,
         use_indexes: bool = True,
         tracer: Tracer | None = None,
         parallelism: int = 1,
@@ -221,7 +222,6 @@ class PlanExecutor:
         self._catalog = catalog
         self._base_table = base_table
         self._aggregates = aggregates or [AggregateSpec.count_star("cnt")]
-        self._reaggregates = reaggregate_specs(self._aggregates)
         self._use_indexes = use_indexes
         self._tracer = tracer or NOOP_TRACER
         self._parallelism = parallelism
@@ -231,7 +231,6 @@ class PlanExecutor:
         self._metrics = metrics if metrics is not None else get_metrics()
         self._model = model
         self._result_cache = result_cache
-        self._agg_sig = aggregate_signature(self._aggregates)
         # Temps of the plan being interpreted; an executor interprets
         # one plan at a time (a Session builds one per execution).
         self._temps = TempScope(catalog)
@@ -594,9 +593,9 @@ class PlanExecutor:
         batch: list[tuple[int, "GroupingOperator", MorselGrouping]] = []
         for index, op in members:
             aggregates = (
-                self._reaggregates
+                reaggregate_specs(op.aggregates)
                 if isinstance(op, phys.Reaggregate)
-                else self._aggregates
+                else op.aggregates
             )
             # Feasibility is only known here (it needs the per-key
             # cardinalities).
@@ -809,13 +808,12 @@ class PlanExecutor:
             if morsel_batched:
                 assert precomputed is not None
                 table = self._claim_precomputed(
-                    physical, op, precomputed[op.op_id], metrics
+                    physical, op, env, precomputed[op.op_id], metrics
                 )
-            elif isinstance(op, phys.Reaggregate):
-                table = self._run_reaggregate(physical, op, env, metrics,
-                                              dictionaries)
             elif isinstance(op, phys.GroupingOperator):
-                table = self._run_grouping(op, env, metrics, dictionaries)
+                table = self._run_grouping(
+                    physical, op, env, metrics, dictionaries
+                )
             elif isinstance(op, phys.CubeExpand):
                 self._run_cube_expand(op, env, result, metrics, dictionaries)
                 op_span.set(queries=len(op.queries))
@@ -837,14 +835,7 @@ class PlanExecutor:
                     f"unknown physical operator {op.op_name!r}"
                 )
             # Shared tail of the grouping operators.
-            if morsel_batched:
-                regime = "morsel"
-            elif isinstance(op, phys.Reaggregate):
-                regime = op.strategy
-            elif isinstance(op, phys.SortGroupBy):
-                regime = "sort"
-            else:
-                regime = "hash"
+            regime = "morsel" if morsel_batched else _strategy(op)
             env[op.op_id] = table
             if op.query is not None:
                 result.results[frozenset(op.query)] = table
@@ -870,6 +861,7 @@ class PlanExecutor:
         self,
         physical: "PhysicalPlan",
         op: "GroupingOperator",
+        env: dict[int, Table | Index],
         table: Table,
         metrics: ExecutionMetrics,
     ) -> Table:
@@ -883,45 +875,70 @@ class PlanExecutor:
         grouping.  Metrics totals are therefore mode-independent while
         the real memory traffic is what morsel execution saves.
         """
-        from repro.physical import plan as phys
-
         metrics.queries_executed += 1
-        if isinstance(op, phys.Reaggregate):
-            producer = physical.op(op.source)
-            assert isinstance(producer, phys.Materialize)
-            source = self._temps.get(producer.output)
-        else:
-            scan = physical.op(op.source)
-            assert isinstance(scan, phys.Scan)
-            source = self._catalog.get(scan.table)
+        source = self._grouping_input(physical, op, env)
+        assert isinstance(source, Table)
         if op.charge_scan:
             metrics.record_scan(source.num_rows, source.scan_bytes())
         metrics.record_group_by()
         return table
 
-    def _run_grouping(
+    def _grouping_input(
         self,
+        physical: "PhysicalPlan",
         op: "GroupingOperator",
         env: dict[int, Table | Index],
-        metrics: ExecutionMetrics,
-        dictionaries: DictionaryCache,
-    ) -> Table:
-        """HashGroupBy / SortGroupBy over an access path in ``env``."""
-        from repro.physical.plan import SortGroupBy
+    ) -> Table | Index:
+        """The input of a grouping operator.
 
-        metrics.queries_executed += 1
-        strategy = "sort" if isinstance(op, SortGroupBy) else "hash"
+        A materialized intermediate lives in an earlier pipeline and is
+        resolved through the catalog; access paths and cache reads hand
+        theirs over in the pipeline environment.
+        """
+        from repro.physical.plan import Materialize
+
+        producer = physical.op(op.source)
+        if isinstance(producer, Materialize):
+            if producer.output not in self._temps:
+                raise ExecutionError(
+                    f"intermediate {producer.output!r} was not "
+                    "materialized before its consumers"
+                )
+            return self._temps.get(producer.output)
         source = env.get(op.source)
         if source is None:
             raise ExecutionError(
                 f"operator {op.op_id} reads missing pipeline input "
                 f"{op.source}"
             )
+        return source
+
+    def _run_grouping(
+        self,
+        physical: "PhysicalPlan",
+        op: "GroupingOperator",
+        env: dict[int, Table | Index],
+        metrics: ExecutionMetrics,
+        dictionaries: DictionaryCache,
+    ) -> Table:
+        """Group the operator's input by its keys.
+
+        A Reaggregate's input is already grouped, so it combines the
+        partial aggregates (:func:`reaggregate_specs`).
+        """
+        from repro.physical.plan import Reaggregate
+
+        metrics.queries_executed += 1
+        source = self._grouping_input(physical, op, env)
+        strategy = _strategy(op)
+        aggregates: Sequence[AggregateSpec] = op.aggregates
+        if isinstance(op, Reaggregate):
+            aggregates = reaggregate_specs(aggregates)
         keys = list(op.keys)
         if isinstance(source, Index):
             return source.group_by(
                 keys,
-                self._aggregates,
+                aggregates,
                 op.output,
                 metrics,
                 dictionaries=dictionaries,
@@ -929,83 +946,22 @@ class PlanExecutor:
             )
         if op.partitions > 1:
             return self._group_partitioned(
-                source, op, self._aggregates, metrics, dictionaries, strategy
+                source, op, aggregates, metrics, dictionaries, strategy
             )
-        if op.charge_scan:
-            return group_by(
-                source,
-                keys,
-                self._aggregates,
-                name=op.output,
-                metrics=metrics,
-                dictionaries=dictionaries,
-                strategy=strategy,
-            )
-        # An upstream charged Scan already paid for the pass over the
-        # input (shared scan); meter only the grouping itself.
         table = group_by(
             source,
             keys,
-            self._aggregates,
+            aggregates,
             name=op.output,
-            metrics=None,
+            metrics=metrics if op.charge_scan else None,
             dictionaries=dictionaries,
             strategy=strategy,
         )
-        metrics.record_group_by()
+        if not op.charge_scan:
+            # An upstream charged Scan already paid for the pass over
+            # the input (shared scan); meter only the grouping itself.
+            metrics.record_group_by()
         return table
-
-    def _run_reaggregate(
-        self,
-        physical: "PhysicalPlan",
-        op,
-        env: dict[int, Table | Index],
-        metrics: ExecutionMetrics,
-        dictionaries: DictionaryCache,
-    ) -> Table:
-        """Group a materialized intermediate, resolved via the catalog.
-
-        When the producer is a CacheRead the intermediate never touched
-        the catalog — it lives only in the pipeline environment.
-        """
-        from repro.physical.plan import CacheRead as CacheReadOp
-        from repro.physical.plan import Materialize as MaterializeOp
-
-        metrics.queries_executed += 1
-        producer = physical.op(op.source)
-        if isinstance(producer, CacheReadOp):
-            cached = env.get(op.source)
-            if not isinstance(cached, Table):
-                raise ExecutionError(
-                    f"reaggregate {op.op_id} reads cache entry "
-                    f"{op.source} before it was served"
-                )
-            source = cached
-        elif isinstance(producer, MaterializeOp):
-            if producer.output not in self._temps:
-                raise ExecutionError(
-                    f"intermediate {producer.output!r} was not "
-                    "materialized before its consumers"
-                )
-            source = self._temps.get(producer.output)
-        else:
-            raise ExecutionError(
-                f"reaggregate {op.op_id} does not read a Materialize"
-            )
-        if op.partitions > 1:
-            return self._group_partitioned(
-                source, op, self._reaggregates, metrics, dictionaries,
-                op.strategy,
-            )
-        return group_by(
-            source,
-            list(op.keys),
-            self._reaggregates,
-            name=op.output,
-            metrics=metrics,
-            dictionaries=dictionaries,
-            strategy=op.strategy,
-        )
 
     def _run_cache_read(
         self,
@@ -1036,7 +992,7 @@ class PlanExecutor:
         table = group_by(
             source,
             list(op.keys),
-            self._aggregates,
+            op.aggregates,
             name=op.output,
             metrics=metrics,
             dictionaries=dictionaries,
@@ -1054,14 +1010,14 @@ class PlanExecutor:
             table,
             est_cost=op.est_cost,
             input_rows=base.num_rows,
-            agg_sig=self._agg_sig,
+            agg_sig=aggregate_signature(op.aggregates),
         )
 
     def _group_partitioned(
         self,
         source: Table,
         op: "GroupingOperator",
-        aggregates: list[AggregateSpec],
+        aggregates: Sequence[AggregateSpec],
         metrics: ExecutionMetrics,
         dictionaries: DictionaryCache,
         strategy: str,
@@ -1120,12 +1076,13 @@ class PlanExecutor:
                 f"{op.source}"
             )
         top.build_dictionaries()
+        reaggregates = reaggregate_specs(op.aggregates)
         for query in op.queries:
             metrics.queries_executed += 1
             table = group_by(
                 top,
                 list(query),
-                self._reaggregates,
+                reaggregates,
                 name="cube_" + "_".join(query),
                 metrics=metrics,
                 dictionaries=dictionaries,
@@ -1148,13 +1105,14 @@ class PlanExecutor:
                 f"{op.source}"
             )
         answers = set(op.answers)
+        reaggregates = reaggregate_specs(op.aggregates)
         for i in range(len(op.order) - 1, 0, -1):
             prefix = list(op.order[:i])
             metrics.queries_executed += 1
             current = group_by(
                 current,
                 prefix,
-                self._reaggregates,
+                reaggregates,
                 name="rollup_" + "_".join(prefix),
                 metrics=metrics,
                 dictionaries=dictionaries,
@@ -1183,6 +1141,15 @@ class PlanExecutor:
             table.dictionary(column)
         self._temps.materialize(table)
         metrics.record_materialize(table.num_rows, table.size_bytes())
+
+
+def _strategy(op: "GroupingOperator") -> str:
+    """The grouping regime, ``hash`` or ``sort``, an operator runs."""
+    from repro.physical.plan import Reaggregate, SortGroupBy
+
+    if isinstance(op, Reaggregate):
+        return op.strategy
+    return "sort" if isinstance(op, SortGroupBy) else "hash"
 
 
 def execute_naive(

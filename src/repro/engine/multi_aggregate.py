@@ -1,37 +1,43 @@
 """Executing plans for workloads with per-query aggregates (Section 7.2).
 
-The base GB-MQO problem assumes COUNT(*) everywhere.  This module
-executes a logical plan for queries that each carry their own aggregate
-list (SUM, MIN, MAX, AVG, COUNT(col), ...):
+The base GB-MQO problem assumes COUNT(*) everywhere.  This module runs
+a logical plan for queries that each carry their own aggregate list
+(SUM, MIN, MAX, AVG, COUNT(col), ...) through the one plan executor:
 
-* every intermediate node materializes the *union* of the aggregates
-  needed anywhere in its subtree (the Section 7.2 union strategy, which
+* :func:`prepare_workload` tracks aggregates by canonical identity
+  (func, column), so two queries requesting SUM(x) under different
+  aliases share one materialized column, and decomposes AVG into
+  SUM + COUNT — the standard rewrite that makes it distributive;
+* the lowering (:func:`repro.physical.lowering.node_aggregates`) gives
+  every node the *union* of the aggregates needed anywhere in its
+  subtree (the Section 7.2 union strategy, which
   :func:`repro.core.extensions.choose_merge_strategy` justifies when
-  scans dominate);
-* children re-aggregate distributively (COUNT -> SUM of partial counts,
-  SUM -> SUM, MIN -> MIN, MAX -> MAX);
-* AVG is decomposed into SUM + COUNT during planning and recombined
-  when the query's result is captured — the standard rewrite that makes
-  it distributive.
-
-Aggregates are tracked by canonical identity (func, column), so two
-queries requesting SUM(x) under different aliases share one
-materialized column; requested aliases are restored on capture.
+  scans dominate), and children reaggregate it distributively
+  (COUNT -> SUM of partial counts, SUM -> SUM, MIN -> MIN, MAX -> MAX);
+* :class:`~repro.engine.executor.PlanExecutor` runs the lowered plan
+  like any other — verified, traced, cache-aware and parallel;
+* each query's result is then captured: requested aliases are restored
+  and AVG is recombined from its SUM and COUNT.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from repro.core.extensions import AggregateQuery
-from repro.core.plan import LogicalPlan, NodeKind, SubPlan
-from repro.engine.aggregation import AggregateSpec, group_by, reaggregate_specs
+from repro.core.plan import LogicalPlan, NodeKind
+from repro.engine.aggregation import AggregateSpec
 from repro.engine.catalog import Catalog
-from repro.engine.metrics import ExecutionMetrics
+from repro.engine.executor import ExecutionResult, PlanExecutor
 from repro.engine.table import Table
 from repro.engine.types import EngineError, SchemaError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.physical.lowering import AggregateNeeds
 
 
 class MultiAggregateError(EngineError):
@@ -109,21 +115,13 @@ def prepare_workload(queries: list[AggregateQuery]) -> PreparedWorkload:
     return prepared
 
 
-def _subtree_needs(subplan: SubPlan, prepared: PreparedWorkload) -> dict[str, AggregateSpec]:
-    """Union of canonical aggregates needed anywhere under ``subplan``."""
-    needs: dict[str, AggregateSpec] = {}
-    answered = subplan.answered_queries()
-    for columns in answered:
-        needs.update(prepared.needs.get(columns, {}))
-    return needs
-
-
 def execute_multi_aggregate(
     catalog: Catalog,
     base_table: str,
     plan: LogicalPlan,
     queries: list[AggregateQuery],
-) -> "MultiAggregateResult":
+    make_executor: Callable[[AggregateNeeds], PlanExecutor] | None = None,
+) -> ExecutionResult:
     """Execute ``plan`` computing each query's own aggregates.
 
     Args:
@@ -133,10 +131,14 @@ def execute_multi_aggregate(
             (obtain it from the optimizer over
             :func:`repro.core.extensions.queries_to_column_sets`).
         queries: the aggregate queries.
+        make_executor: builds the :class:`PlanExecutor` for the
+            workload's per-query canonical aggregates (a session passes
+            one with its estimator, tracer, metrics and result cache);
+            None runs a plain executor over ``catalog``.
 
     Returns:
-        Results keyed by column set, each projected to the requested
-        keys + aggregate aliases.
+        The plan execution, its results keyed by column set and each
+        projected to the requested keys + aggregate aliases.
     """
     for subplan in plan.iter_subplans():
         if subplan.node.kind is not NodeKind.GROUP_BY:
@@ -150,56 +152,24 @@ def execute_multi_aggregate(
         raise MultiAggregateError(
             f"plan does not answer {len(missing)} of the queries"
         )
-    result = MultiAggregateResult()
-    base = catalog.get(base_table)
-    for subplan in plan.subplans:
-        _run_subtree(subplan, base, True, prepared, result)
-    return result
-
-
-@dataclass
-class MultiAggregateResult:
-    """Results and metrics of one multi-aggregate execution."""
-
-    results: dict[frozenset[str], Table] = field(default_factory=dict)
-    metrics: ExecutionMetrics = field(default_factory=ExecutionMetrics)
-
-
-def _run_subtree(
-    subplan: SubPlan,
-    parent: Table,
-    from_base: bool,
-    prepared: PreparedWorkload,
-    result: MultiAggregateResult,
-) -> None:
-    needs = _subtree_needs(subplan, prepared)
-    specs = list(needs.values())
-    if not specs:
-        raise MultiAggregateError(
-            f"node {subplan.node.describe()} answers no aggregates"
-        )
-    compute = specs if from_base else reaggregate_specs(specs)
-    keys = sorted(subplan.node.columns)
-    table = group_by(
-        parent,
-        keys,
-        compute,
-        name="agg_" + "_".join(keys),
-        metrics=result.metrics,
-    )
-    result.metrics.queries_executed += 1
-    if subplan.required:
-        _capture(subplan.node.columns, table, prepared, result)
-    for child in subplan.children:
-        _run_subtree(child, table, False, prepared, result)
+    needs = {
+        columns: tuple(specs.values())
+        for columns, specs in prepared.needs.items()
+    }
+    if make_executor is None:
+        make_executor = partial(PlanExecutor, catalog, base_table)
+    execution = make_executor(needs).execute(plan)
+    execution.results = {
+        columns: _capture(columns, table, prepared)
+        for columns, table in execution.results.items()
+    }
+    return execution
 
 
 def _capture(
-    columns: frozenset[str],
-    table: Table,
-    prepared: PreparedWorkload,
-    result: MultiAggregateResult,
-) -> None:
+    columns: frozenset[str], table: Table, prepared: PreparedWorkload
+) -> Table:
+    """Project a node's result to the query's keys and requested aliases."""
     recipes = prepared.captures.get(columns, [])
     output: dict[str, np.ndarray] = {
         key: table[key] for key in sorted(columns)
@@ -214,6 +184,4 @@ def _capture(
             output[recipe.alias] = table[recipe.sum_alias] / np.maximum(
                 counts, 1
             )
-    result.results[columns] = Table.wrap(
-        "result_" + "_".join(sorted(columns)), output
-    )
+    return Table.wrap("result_" + "_".join(sorted(columns)), output)

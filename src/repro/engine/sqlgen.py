@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.core.plan import LogicalPlan, NodeKind, PlanNode
 from repro.core.scheduling import Step, depth_first_schedule
-from repro.engine.executor import temp_name_for
+from repro.physical.lowering import temp_name_for
 
 
 def _columns_sql(node: PlanNode) -> str:

@@ -21,7 +21,10 @@ onto a pipeline of :mod:`repro.physical.plan` operators:
 * CUBE / ROLLUP nodes lower to a top grouping plus an expand operator,
   and materialized intermediates get explicit
   :class:`~repro.physical.plan.Materialize` / :class:`~repro.physical.
-  plan.DropTemp` operators.
+  plan.DropTemp` operators;
+* every grouping operator carries the aggregates its result holds
+  (:func:`node_aggregates`): per-query aggregates (Section 7.2) give a
+  node the union its subtree needs, which descendants reaggregate.
 
 Without an estimator the lowering is purely structural (hash-preferred
 groupings, zero estimates) — the naive baseline path.
@@ -34,7 +37,7 @@ Scan` per batch feeding uncharged groupings.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from repro.cache import ResultCache, aggregate_signature
 from repro.core.plan import LogicalPlan, NodeKind, PlanNode
@@ -52,6 +55,7 @@ from repro.engine.aggregation import AggregateSpec
 from repro.engine.catalog import Catalog
 from repro.engine.morsel import morsel_count
 from repro.physical.plan import (
+    COUNT_STAR,
     CacheRead,
     CubeExpand,
     DropTemp,
@@ -76,9 +80,43 @@ from repro.stats.cardinality import CardinalityEstimator
 MAX_PARTITIONS = 64
 
 
+#: A workload's aggregates: one list every query needs, or each query
+#: column set's own list (Section 7.2 per-query aggregates).
+AggregateNeeds = (
+    Sequence[AggregateSpec] | Mapping[frozenset[str], Sequence[AggregateSpec]]
+)
+
+
 def temp_name_for(node: PlanNode) -> str:
     """Deterministic temporary-table name for a plan node."""
     return "tmp__" + "__".join(sorted(node.columns))
+
+
+def node_aggregates(
+    plan: LogicalPlan, aggregates: AggregateNeeds
+) -> dict[PlanNode, tuple[AggregateSpec, ...]]:
+    """The aggregates each node of ``plan`` computes.
+
+    A plain list is every node's list.  A per-query mapping gives each
+    node the union, in mapping order, of the lists of the queries
+    answered anywhere in its subtree.
+    """
+    if not isinstance(aggregates, Mapping):
+        uniform = tuple(aggregates)
+        return {subplan.node: uniform for subplan in plan.iter_subplans()}
+    needs: dict[PlanNode, tuple[AggregateSpec, ...]] = {}
+    for subplan in plan.iter_subplans():
+        answered = subplan.answered_queries()
+        union: dict[AggregateSpec, None] = {}
+        for query, specs in aggregates.items():
+            if query in answered:
+                union.update(dict.fromkeys(specs))
+        if not union:
+            raise PhysicalPlanError(
+                f"node {subplan.node.describe()} answers no aggregates"
+            )
+        needs[subplan.node] = tuple(union)
+    return needs
 
 
 class _Lowering:
@@ -89,7 +127,7 @@ class _Lowering:
         plan: LogicalPlan,
         catalog: Catalog,
         base_table: str,
-        aggregates: Sequence[AggregateSpec],
+        aggregates: AggregateNeeds,
         use_indexes: bool,
         estimator: CardinalityEstimator | None,
         memory_budget_bytes: float | None,
@@ -100,13 +138,12 @@ class _Lowering:
         self.plan = plan
         self.catalog = catalog
         self.base_table = base_table
-        self.aggregates = list(aggregates)
+        self.aggregates = node_aggregates(plan, aggregates)
         self.use_indexes = use_indexes
         self.estimator = estimator
         self.budget = memory_budget_bytes
         self.parallelism = parallelism
         self.result_cache = result_cache
-        self.agg_sig = aggregate_signature(aggregates)
         if model is not None:
             self.model: EngineCostModel | None = model
         else:
@@ -209,6 +246,7 @@ class _Lowering:
         node = step.node
         keys = tuple(sorted(node.columns))
         temp = temp_name_for(node)
+        aggregates = self.aggregates[node]
         depth = 0
         pipeline_ops: list[int] = []
 
@@ -247,6 +285,7 @@ class _Lowering:
                     strategy=strategy,
                     partitions=partitions,
                     morsels=self.morsels_for(input_rows, partitions),
+                    aggregates=aggregates,
                     est_rows=self.est_rows(node.columns),
                     est_cost=cost,
                     est_mem_bytes=mem,
@@ -308,7 +347,10 @@ class _Lowering:
         cache = self.result_cache
         if cache is None or step.node.kind is not NodeKind.GROUP_BY:
             return None
-        probe = cache.probe(self.base_table, keys, self.agg_sig)
+        aggregates = self.aggregates[step.node]
+        probe = cache.probe(
+            self.base_table, keys, aggregate_signature(aggregates)
+        )
         if probe is None or probe.entry.version != self.catalog.version(
             self.base_table
         ):
@@ -328,6 +370,7 @@ class _Lowering:
                     output=temp,
                     derived=False,
                     query=self._query_for(step),
+                    aggregates=aggregates,
                     est_rows=float(entry.rows),
                     est_cost=0.0,
                 )
@@ -350,6 +393,7 @@ class _Lowering:
                 version=entry.version,
                 output="tmp__" + "__".join(sorted(entry.keys)),
                 derived=True,
+                aggregates=aggregates,
                 est_rows=entry_rows,
                 est_cost=0.0,
             )
@@ -364,6 +408,7 @@ class _Lowering:
                 query=self._query_for(step),
                 strategy=strategy,
                 partitions=partitions,
+                aggregates=aggregates,
                 est_rows=self.est_rows(step.node.columns),
                 est_cost=cost,
                 est_mem_bytes=mem,
@@ -402,10 +447,11 @@ class _Lowering:
     ) -> int:
         """Access path + grouping operator for a base-relation node."""
         base = self.catalog.get(self.base_table)
+        aggregates = self.aggregates[step.node]
         index = None
         if self.use_indexes:
             needed = set(keys) | {
-                a.column for a in self.aggregates if a.column is not None
+                a.column for a in aggregates if a.column is not None
             }
             candidate = self.catalog.find_covering_index(
                 self.base_table, needed
@@ -421,6 +467,7 @@ class _Lowering:
             "keys": keys,
             "output": temp,
             "query": self._query_for(step),
+            "aggregates": aggregates,
             "est_rows": self.est_rows(step.node.columns),
         }
         if index is not None:
@@ -533,6 +580,7 @@ class _Lowering:
                 op_id=self.next_id(),
                 source=group_id,
                 queries=queries,
+                aggregates=self.aggregates[step.node],
                 est_rows=rows,
                 est_cost=cost,
             )
@@ -560,6 +608,7 @@ class _Lowering:
                 source=group_id,
                 order=tuple(order),
                 answers=answers,
+                aggregates=self.aggregates[step.node],
                 est_rows=rows,
                 est_cost=cost,
             )
@@ -597,7 +646,7 @@ def lower(
     *,
     catalog: Catalog,
     base_table: str,
-    aggregates: Sequence[AggregateSpec],
+    aggregates: AggregateNeeds,
     use_indexes: bool = True,
     estimator: CardinalityEstimator | None = None,
     memory_budget_bytes: float | None = None,
@@ -622,8 +671,11 @@ def lower(
         catalog: catalog holding the base relation (access-path and
             index decisions bind to its current state).
         base_table: name of R.
-        aggregates: the workload's aggregate list (used for covering-
-            index resolution and lowered pipelines' aggregate flavor).
+        aggregates: the aggregates every query needs, or a mapping from
+            each query column set to its own list; normalized into each
+            operator's ``aggregates`` (see :func:`node_aggregates`),
+            which also drives covering-index resolution and the cache
+            signature.
         use_indexes: allow covering-index access paths.
         estimator: column statistics for the hash-vs-sort choice and
             operator estimates; None lowers structurally (hash-preferred
@@ -693,6 +745,7 @@ def lower_shared_scan(
     *,
     catalog: Catalog,
     base_table: str,
+    aggregates: Sequence[AggregateSpec] = COUNT_STAR,
     estimator: CardinalityEstimator | None = None,
     model: EngineCostModel | None = None,
 ) -> PhysicalPlan:
@@ -701,7 +754,8 @@ def lower_shared_scan(
     One *charged* :class:`Scan` per batch feeds one grouping operator
     per query with ``charge_scan=False`` — the batch pays for a single
     pass over R no matter how many aggregation states it fills, which
-    is exactly the shared-scan cost semantics.
+    is exactly the shared-scan cost semantics.  Every grouping computes
+    ``aggregates``.
     """
     if model is None:
         model = (
@@ -753,6 +807,7 @@ def lower_shared_scan(
                 output="shared_" + "_".join(keys),
                 query=keys,
                 charge_scan=False,
+                aggregates=tuple(aggregates),
                 est_rows=(
                     float(estimator.rows(frozenset(query)))
                     if estimator is not None

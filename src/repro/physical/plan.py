@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar, Iterator
 
 from repro.core.plan import PlanError
+from repro.engine.aggregation import AggregateSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.dataflow import AnalysisContext
@@ -77,7 +78,13 @@ class PhysicalOperator:
 def _jsonable(value: object) -> object:
     if isinstance(value, tuple):
         return [_jsonable(item) for item in value]
+    if isinstance(value, AggregateSpec):
+        return {"func": value.func, "column": value.column, "alias": value.alias}
     return value
+
+
+#: The aggregate list of a COUNT(*) workload, every operator's default.
+COUNT_STAR: tuple[AggregateSpec, ...] = (AggregateSpec.count_star(),)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -142,6 +149,8 @@ class GroupingOperator(PhysicalOperator):
             morsel's row-store pass with every other morselized
             grouping of the same source in its wave.  Results are
             bit-identical to the single-pass regimes.
+        aggregates: the base-level aggregates the result carries; a
+            grouping of already-grouped input reaggregates them.
     """
 
     source: int
@@ -151,6 +160,7 @@ class GroupingOperator(PhysicalOperator):
     charge_scan: bool = True
     partitions: int = 1
     morsels: int = 1
+    aggregates: tuple[AggregateSpec, ...] = COUNT_STAR
 
     def inputs(self) -> tuple[int, ...]:
         return (self.source,)
@@ -226,6 +236,7 @@ class CubeExpand(PhysicalOperator):
 
     source: int
     queries: tuple[tuple[str, ...], ...]
+    aggregates: tuple[AggregateSpec, ...] = COUNT_STAR
 
     op_name: ClassVar[str] = "cube_expand"
 
@@ -247,6 +258,7 @@ class RollupExpand(PhysicalOperator):
     source: int
     order: tuple[str, ...]
     answers: tuple[tuple[str, ...], ...]
+    aggregates: tuple[AggregateSpec, ...] = COUNT_STAR
 
     op_name: ClassVar[str] = "rollup_expand"
 
@@ -280,6 +292,7 @@ class CacheRead(PhysicalOperator):
             (hit accounting: derived_hits vs hits).
         query: the required query this read answers directly, as a
             sorted column tuple — None when it feeds a Reaggregate.
+        aggregates: the entry's aggregates (its cache signature).
     """
 
     table: str
@@ -289,6 +302,7 @@ class CacheRead(PhysicalOperator):
     output: str
     derived: bool = False
     query: tuple[str, ...] | None = None
+    aggregates: tuple[AggregateSpec, ...] = COUNT_STAR
 
     op_name: ClassVar[str] = "cache_read"
 

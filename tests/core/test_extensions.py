@@ -4,11 +4,9 @@ import pytest
 
 from repro.core.extensions import (
     AggregateQuery,
-    aggregates_by_columns,
     aggregate_width,
     choose_merge_strategy,
     queries_to_column_sets,
-    rewrite_for_parent,
     union_aggregates,
 )
 from repro.engine.aggregation import AggregateSpec
@@ -75,19 +73,9 @@ class TestHelpers:
     def test_aggregate_width(self):
         assert aggregate_width([COUNT, SUM_X]) == 16
 
-    def test_rewrite_for_parent(self):
-        rewritten = rewrite_for_parent((COUNT, SUM_X))
-        assert rewritten[0].func == "sum" and rewritten[0].column == "cnt"
-        assert rewritten[1].func == "sum"
-
     def test_queries_to_column_sets(self):
         queries = [q(["a"], COUNT), q(["b"], SUM_X)]
         assert queries_to_column_sets(queries) == [fs("a"), fs("b")]
-
-    def test_aggregates_by_columns_unions_clashes(self):
-        queries = [q(["a"], COUNT), q(["a"], SUM_X)]
-        table = aggregates_by_columns(queries)
-        assert len(table[fs("a")]) == 2
 
     def test_count_star_constructor(self):
         query = AggregateQuery.count_star(fs("a"))

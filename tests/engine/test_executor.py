@@ -5,13 +5,9 @@ import pytest
 from repro.core.plan import LogicalPlan, NodeKind, PlanNode, SubPlan, naive_plan
 from repro.core.scheduling import depth_first_schedule
 from repro.engine.catalog import Catalog
-from repro.engine.executor import (
-    ExecutionError,
-    PlanExecutor,
-    TempScope,
-    temp_name_for,
-)
+from repro.engine.executor import ExecutionError, PlanExecutor, TempScope
 from repro.engine.indexes import IndexSpec
+from repro.physical.lowering import temp_name_for
 from tests.conftest import brute_force_group_by, result_as_dict
 
 

@@ -196,3 +196,148 @@ def test_multi_aggregate_property(seed):
     assert result_as_dict(
         run.results[fs("g1", "g2")], ["g1", "g2"], "mx"
     ) == reference(table, ["g1", "g2"], "max", "v")
+
+
+# -- one executor: per-query aggregates through PlanExecutor ------------------
+
+ONE_PATH_QUERIES = [
+    q(["low"], AggregateSpec.count_star(), AggregateSpec("sum", "high", "s")),
+    q(["mid"], AggregateSpec("min", "high", "lo"), AggregateSpec("avg", "high", "m")),
+    q(["low", "mid"], AggregateSpec("max", "high", "hi")),
+]
+
+
+def merged_plan():
+    """(low, mid) from R, answering itself, with low and mid below it."""
+    from repro.core.plan import LogicalPlan, PlanNode, SubPlan
+
+    root = SubPlan(
+        PlanNode(fs("low", "mid")),
+        (SubPlan.leaf(fs("low")), SubPlan.leaf(fs("mid"))),
+        required=True,
+    )
+    return LogicalPlan(
+        "r", (root,), frozenset([fs("low"), fs("mid"), fs("low", "mid")])
+    )
+
+
+def assert_bit_identical(a, b):
+    assert set(a) == set(b)
+    for columns in a:
+        assert a[columns].column_names == b[columns].column_names
+        for name in a[columns].column_names:
+            left, right = a[columns][name], b[columns][name]
+            assert left.dtype == right.dtype
+            assert left.tobytes() == right.tobytes()
+
+
+class TestOnePath:
+    def test_waves_bit_identical_to_serial(self, session):
+        from tests.engine.support import wave_executor
+
+        plan = merged_plan()
+        serial = execute_multi_aggregate(
+            session.catalog, "r", plan, ONE_PATH_QUERIES
+        )
+        waves = execute_multi_aggregate(
+            session.catalog,
+            "r",
+            plan,
+            ONE_PATH_QUERIES,
+            make_executor=lambda needs: wave_executor(
+                session.catalog, "r", session.estimator, 2, aggregates=needs
+            ),
+        )
+        assert serial.metrics.mode == "serial"
+        assert waves.metrics.mode == "morsel"
+        assert_bit_identical(waves.results, serial.results)
+        assert waves.metrics.as_dict() == serial.metrics.as_dict()
+
+    def test_repeat_is_served_from_cache(self, random_table):
+        from repro.obs.tracer import Tracer
+
+        tracer = Tracer()
+        session = Session.for_table(
+            random_table, statistics="exact", cache=True, tracer=tracer
+        )
+        _, first = session.run_with_aggregates(ONE_PATH_QUERIES)
+        hits = session.cache_stats()["hits"]
+        tracer.clear()
+        _, second = session.run_with_aggregates(ONE_PATH_QUERIES)
+        reads = [s for s in tracer.spans if s.name == "execute.cache_read"]
+        assert reads
+        assert all(s.attributes["served"] and not s.attributes["derived"] for s in reads)
+        assert session.cache_stats()["hits"] == hits + len(reads)
+        assert_bit_identical(second.results, first.results)
+
+        # The same column set with another aggregate list is a miss.
+        stats = session.cache_stats()
+        tracer.clear()
+        _, other = session.run_with_aggregates(
+            [q(["low"], AggregateSpec("max", "high", "top"))]
+        )
+        after = session.cache_stats()
+        assert after["hits"] == stats["hits"]
+        assert after["derived_hits"] == stats["derived_hits"]
+        assert after["misses"] == stats["misses"] + 1
+        assert not [s for s in tracer.spans if s.name == "execute.cache_read"]
+        assert result_as_dict(other.results[fs("low")], ["low"], "top") == (
+            reference(random_table, ["low"], "max", "high")
+        )
+
+    def test_traced_run_emits_operator_spans(self, random_table):
+        from repro.obs.tracer import Tracer
+
+        tracer = Tracer()
+        session = Session.for_table(
+            random_table, statistics="exact", tracer=tracer
+        )
+        session.run_with_aggregates(ONE_PATH_QUERIES)
+        names = {span.name for span in tracer.spans}
+        assert "execute.plan" in names
+        assert {"execute.hash_group_by", "execute.sort_group_by"} & names
+
+
+class TestPhysicalSerialization:
+    def test_mixed_aggregates_round_trip(self, session):
+        from repro.core.serialize import (
+            physical_plan_from_json,
+            physical_plan_to_json,
+        )
+        from repro.engine.executor import PlanExecutor
+
+        needs = {
+            fs("low"): (AggregateSpec("sum", "high", "sum_high"),),
+            fs("mid"): (AggregateSpec("min", "high", "min_high"),),
+            fs("low", "mid"): (AggregateSpec.count_star(),),
+        }
+        physical = PlanExecutor(
+            session.catalog, "r", aggregates=needs,
+            estimator=session.estimator,
+        ).lower(merged_plan())
+        lists = {op.aggregates for op in physical.grouping_ops()}
+        assert len(lists) == 3  # the union at the root, one per leaf
+        rebuilt = physical_plan_from_json(physical_plan_to_json(physical))
+        assert rebuilt == physical
+
+    def test_payload_without_aggregates_runs_as_count_star(self, session):
+        from repro.core.serialize import (
+            physical_plan_from_dict,
+            physical_plan_to_dict,
+        )
+        from repro.engine.executor import PlanExecutor
+
+        executor = PlanExecutor(
+            session.catalog, "r", estimator=session.estimator
+        )
+        physical = executor.lower(merged_plan())
+        payload = physical_plan_to_dict(physical)
+        for entry in payload["operators"]:
+            entry.pop("aggregates", None)
+        legacy = physical_plan_from_dict(payload)
+        assert legacy == physical
+        assert legacy.check(executor.analysis_context()) == []
+        assert_bit_identical(
+            PlanExecutor(session.catalog, "r").execute_physical(legacy).results,
+            PlanExecutor(session.catalog, "r").execute_physical(physical).results,
+        )

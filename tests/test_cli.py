@@ -124,6 +124,48 @@ class TestSql:
         out = capsys.readouterr().out
         assert "strategy: selection_pushdown" in out
 
+    def test_statistics_option_drives_planning(
+        self, csv_path, capsys, monkeypatch
+    ):
+        import repro.core.gs_planner as gs_planner
+        from repro.stats.cardinality import ExactCardinalityEstimator
+
+        argv = [
+            "sql", csv_path,
+            "SELECT region, status, COUNT(*) FROM orders "
+            "GROUP BY GROUPING SETS ((region), (status), (region, status))",
+            "--limit", "100",
+        ]
+        assert main(argv + ["--statistics", "sampled"]) == 0
+        sampled_out = capsys.readouterr().out
+
+        executor_estimators = []
+        real_executor = gs_planner.PlanExecutor
+
+        def recording_executor(*args, **kwargs):
+            executor_estimators.append(kwargs.get("estimator"))
+            return real_executor(*args, **kwargs)
+
+        def no_resampling(*args, **kwargs):
+            raise AssertionError("the planner sampled the table again")
+
+        monkeypatch.setattr(gs_planner, "PlanExecutor", recording_executor)
+        monkeypatch.setattr(
+            gs_planner, "SampledCardinalityEstimator", no_resampling
+        )
+        assert main(argv + ["--statistics", "exact"]) == 0
+        exact_out = capsys.readouterr().out
+
+        assert [type(e) for e in executor_estimators] == [
+            ExactCardinalityEstimator
+        ]
+
+        def result_rows(out):
+            return out[out.index("result rows"):]
+
+        assert "17 result rows" in exact_out
+        assert result_rows(exact_out) == result_rows(sampled_out)
+
     def test_cube_statement(self, csv_path, capsys):
         main(
             [
